@@ -30,7 +30,14 @@ from .engine import (
     incoming_1d_trace,
 )
 from .errors import FatouError, ParseError
-from .expressions import diff, ev, parse_expr, parse_map_file, to_text
+from .expressions import (
+    CompiledExpr,
+    diff,
+    ev,
+    parse_expr,
+    parse_map_file,
+    to_text,
+)
 from .germs import (
     INFINITY,
     ORIGIN,
@@ -156,9 +163,8 @@ def cmd_normalize(cfg: RunConfig) -> str:
                  " normalized fiber)")
 
     for tag in ("i", "o", "a", "b"):
-        params = getattr(pipe, f"theta_{tag}")
-        lines.append(f"shear[{tag}]: alpha={_c17(params.alpha)}"
-                     f" beta={_c17(params.beta)}")
+        lines.append(f"shear[{tag}]: alpha={_c17(pipe.theta.alpha)}"
+                     f" beta={_c17(pipe.theta.beta)}")
     lines.append(f"radius: R={_g17(pipe.radius)}")
 
     lines.append("chain (model coordinates back to input coordinates):")
@@ -280,10 +286,12 @@ def _orbit_fate(lam, fib, z0, w0, backward: bool) -> np.ndarray:
     the settle tolerance), or hit the cap; settled and capped cells are
     read out by whether each coordinate moved toward zero. A fiber blowup
     under a still-small base is the w-axis fate; a base blowup leaves the
-    chart and carries no fate.
+    chart and carries no fate. The map and its derivatives are compiled
+    once per call.
     """
-    dlam = diff(lam, "z")
-    dfib = diff(fib, "w")
+    dlam = CompiledExpr(diff(lam, "z"))
+    dfib = CompiledExpr(diff(fib, "w"))
+    lam, fib = CompiledExpr(lam), CompiledExpr(fib)
     z = z0.astype(complex).copy()
     w = w0.astype(complex).copy()
     fate = np.zeros(z.size, dtype=np.uint8)
@@ -458,7 +466,7 @@ def cmd_verify(cfg: RunConfig):
     reports.append(finite_n_identity_check(
         G, [1, 3, 10], pts_fin, threshold=max(1e-9, 100 * cfg.tol)))
 
-    if pipe.theta_i.alpha == 0:
+    if pipe.theta.alpha == 0:
         gmod = conjugated_fiber_limit(pipe, "b")
         u, v = region_points(pipe.regions["b"], 2, seed + 3)
         pts_b = [(complex(a), complex(b)) for a, b in zip(u, v)]

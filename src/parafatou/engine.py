@@ -2,9 +2,10 @@
 
 Every quantity this module computes is the limit of an explicit sequence
 built from orbits: corrected partial sums along forward orbits for the
-incoming coordinates, Newton inversion of those sums for the outgoing
-ones, and freshly recomposed finite-stage chains for the two mixed
-coordinates whose defining sequences do not nest.
+incoming coordinates, inversion of those limits for the outgoing ones,
+and freshly recomposed finite-stage chains for the two mixed coordinates
+whose defining sequences do not nest.  Every inversion, of a germ, a
+fiber map, a log shear or a limit, runs the one solver `germs.newton`.
 
 The workhorse is an asymptotic correction: for a one-variable germ
 g(w) = w + 1 + a1/w + ... the partial sums of the defining limit decay
@@ -39,7 +40,14 @@ from .errors import (
     WrongForm,
 )
 from .expressions import as_rational_poly2, poly_eq
-from .germs import Germ1D, Point2, SkewGerm2D, fiber_limit_map, to_infinity
+from .germs import (
+    Germ1D,
+    Point2,
+    SkewGerm2D,
+    fiber_limit_map,
+    newton,
+    to_infinity,
+)
 from .normal_form import (
     BranchedLog,
     CallableStep,
@@ -47,9 +55,9 @@ from .normal_form import (
     Inversion,
     LogShear,
     LogShearParams,
-    _newton_log_free,
     compose_chains,
     extract_alpha,
+    invert_log_shift,
     normalize_quadratic,
     raise_order,
     solve_log_shear,
@@ -324,27 +332,48 @@ def dual_germ_1d(g: Germ1D) -> Germ1D:
     return Germ1D(jet, evaluator=ev, chart=INFINITY, check=False)
 
 
-def _invert_incoming(g: Germ1D, alpha: complex, target: complex,
-                     cfg: ConvergenceConfig, log: BranchedLog,
-                     seed: complex = None):
-    """Newton solve incoming(x) = target; returns (x, final FatouValue)."""
-    x = complex(target if seed is None else seed)
-    cors = abel_corrections(g.jet, alpha)
-    scale = max(1.0, abs(target))
-    for _ in range(50):
-        fv = incoming_1d(g, alpha, x, cfg, log)
-        if fv.verdict != CONVERGED:
-            raise NewtonDiverged(
-                f"incoming evaluation ended {fv.verdict} during inversion",
-                last_value=x)
-        r = fv.value - target
-        if abs(r) <= 1e-12 * scale:
-            return x, fv
-        x = x - r / cors.dphi(x)
-        if abs(x) > 1e8 * scale:
-            raise NewtonDiverged("inversion left the local region",
+def _invert_limit(limit, cors: Corrections, target) -> FatouValue:
+    """Newton solve limit(x).value = target from x = target.
+
+    limit(x) is a FatouValue of a limit that cors.phi approximates up to a
+    constant, so cors.dphi is the derivative.  The result holds the last
+    iterate and, unless the limit itself ended unconverged, the verdict
+    escaped (flat derivative, bound left), max_iter (steps) or converged.
+    """
+    last = None
+
+    def value(x):
+        nonlocal last
+        last = limit(x)
+        if last.verdict != CONVERGED:
+            raise NewtonDiverged(f"limit ended {last.verdict}",
                                  last_value=x)
-    raise NewtonDiverged("inversion stalled after 50 steps", last_value=x)
+        return last.value
+
+    try:
+        x = newton(value, cors.dphi, target, complex(target),
+                   1e-12 * max(1.0, abs(target)))
+    except NewtonDiverged as err:
+        x = err.last_value
+        if last.verdict != CONVERGED:
+            return FatouValue(x, last.iterations, last.last_delta,
+                              last.verdict)
+        if err.reason == "steps":
+            return FatouValue(x, last.iterations, abs(last.value - target),
+                              MAX_ITER)
+        return FatouValue(x, last.iterations, float("inf"), ESCAPED)
+    return FatouValue(x, last.iterations, last.last_delta, CONVERGED)
+
+
+def _invert_incoming(g: Germ1D, alpha: complex, target: complex,
+                     cfg: ConvergenceConfig, log: BranchedLog) -> complex:
+    """The point x with incoming_1d(g, alpha, x) = target."""
+    fv = _invert_limit(lambda x: incoming_1d(g, alpha, x, cfg, log),
+                       abel_corrections(g.jet, alpha), target)
+    if fv.verdict != CONVERGED:
+        raise NewtonDiverged(f"incoming inversion ended {fv.verdict}",
+                             last_value=fv.value)
+    return fv.value
 
 
 def outgoing_1d(g: Germ1D, alpha: complex, w,
@@ -364,13 +393,12 @@ def outgoing_1d(g: Germ1D, alpha: complex, w,
     if alpha == 0 and _translation_jet(g.jet) and g(w) - w == 1:
         return FatouValue(w, 1, 0.0, CONVERGED)
     dual = dual_germ_1d(g)
-    try:
-        x, fv = _invert_incoming(dual, -alpha, -w, cfg, BranchedLog(0.0),
-                                 seed=-w)
-    except NewtonDiverged as err:
-        last = err.last_value if err.last_value is not None else -w
-        return FatouValue(-last, 0, float("inf"), ESCAPED)
-    return FatouValue(-x, fv.iterations, fv.last_delta, fv.verdict)
+    log = BranchedLog(0.0)
+    fv = _invert_limit(lambda x: incoming_1d(dual, -alpha, x, cfg, log),
+                       abel_corrections(dual.jet, -alpha), -w)
+    if fv.verdict != CONVERGED:
+        return FatouValue(-fv.value, 0, float("inf"), ESCAPED)
+    return FatouValue(-fv.value, fv.iterations, fv.last_delta, CONVERGED)
 
 
 def outgoing_1d_direct(g: Germ1D, alpha: complex, w, n: int,
@@ -378,8 +406,8 @@ def outgoing_1d_direct(g: Germ1D, alpha: complex, w, n: int,
     """Plain n-stage estimate g^n(w - n + alpha log(w - n)).
 
     Converges like 1/n, so it is only useful as an independent check
-    against the Newton-based evaluator; the two limits agree up to a
-    w-independent constant fixed by the log branches.
+    against `outgoing_1d`; the two limits agree up to a w-independent
+    constant fixed by the log branches.
     """
     log = log or BranchedLog(np.pi)
     x = complex(w) - n
@@ -395,11 +423,6 @@ def outgoing_1d_direct(g: Germ1D, alpha: complex, w, n: int,
 
 def _as_step(G):
     return G.evaluate if isinstance(G, SkewGerm2D) else G
-
-
-def inverse_step(G: SkewGerm2D):
-    """Pointwise Newton inverse of the skew product."""
-    return lambda p: G.local_inverse(p)
 
 
 def dual_step(G: SkewGerm2D):
@@ -473,22 +496,6 @@ def _check_point(x, cfg, center, partial, steps):
         raise _Escaped(partial, steps)
 
 
-def _fiber_inverse(G: SkewGerm2D, t, target, guess, max_steps: int = 50):
-    """Solve G.fiber(t, x) = target by Newton from the given guess."""
-    x = complex(guess)
-    tol = max(1e-12, 4 * np.finfo(float).eps * abs(target))
-    bound = 1e8 * max(1.0, abs(x))
-    for _ in range(max_steps):
-        r = G.fiber(t, x) - target
-        if abs(r) <= tol:
-            return x
-        x = x - r / G.fiber_dw(t, x)
-        if abs(x) > bound:
-            raise NewtonDiverged("fiber inversion left the local region",
-                                 last_value=x)
-    raise NewtonDiverged("fiber inversion stalled", last_value=x)
-
-
 def _corrected_fiber_limit(fiber_step, u0, v0, cors: Corrections,
                            cfg: ConvergenceConfig, center: float):
     """lim phi_K(v_n) - n along v_{k+1} = fiber_step(u0 + k, v_k)."""
@@ -554,27 +561,13 @@ def outgoing_2d_special(G: SkewGerm2D, p: Point2,
     cors = abel_corrections(dual_jet, dual_jet.coeff(1))
 
     def h_fiber(t, y):
-        return -_fiber_inverse(G, -t - 1, -y, guess=-y - 1)
+        return -G.fiber_inverse(-t - 1, -y, complex(-y - 1))
 
-    u_h, target = -p.z, -p.w
-    y = complex(target)
-    scale = max(1.0, abs(target))
-    last_fv = None
-    for _ in range(50):
-        fv = _corrected_fiber_limit(h_fiber, u_h, y, cors, cfg, 0.0)
-        if fv.verdict != CONVERGED:
-            return FatouValue((p.z, -y), fv.iterations, fv.last_delta,
-                              fv.verdict)
-        last_fv = fv
-        r = fv.value - target
-        if abs(r) <= 1e-12 * scale:
-            return FatouValue((p.z, -y), fv.iterations, fv.last_delta,
-                              CONVERGED)
-        y = y - r / cors.dphi(y)
-        if abs(y) > 1e8 * scale:
-            return FatouValue((p.z, -y), last_fv.iterations,
-                              float("inf"), ESCAPED)
-    return FatouValue((p.z, -y), last_fv.iterations, abs(r), MAX_ITER)
+    fv = _invert_limit(
+        lambda y: _corrected_fiber_limit(h_fiber, -p.z, y, cors, cfg, 0.0),
+        cors, -p.w)
+    return FatouValue((p.z, -fv.value), fv.iterations, fv.last_delta,
+                      fv.verdict)
 
 
 def _checkpoint_limit(stage_value, cfg: ConvergenceConfig, fallback,
@@ -715,12 +708,10 @@ class _PsiCoordinate:
         if self.trivial:
             return complex(m)
         if self.side > 0:
-            x, _ = _invert_incoming(self.rho, self.alpha, m, self.cfg,
-                                    BranchedLog(0.0), seed=m)
-            return x
-        x, _ = _invert_incoming(self._dual, -self.alpha, -m, self.cfg,
-                                BranchedLog(0.0), seed=-m)
-        return -x
+            return _invert_incoming(self.rho, self.alpha, m, self.cfg,
+                                    BranchedLog(0.0))
+        return -_invert_incoming(self._dual, -self.alpha, -m, self.cfg,
+                                 BranchedLog(0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -728,8 +719,10 @@ class GeneralConjugacy:
     """Everything a general skew product needs to evaluate coordinates.
 
     The pipeline normalizes, raises the order, moves to infinity, and
-    straightens the base on each side; theta parameters come from the
-    fiber's weight-one tail.  chains[tag] maps that region's model
+    straightens the base on each side; theta holds the log-shear
+    parameters read from the fiber's weight-one tail, shared by all four
+    regions, and theta_steps[tag] is that shear on the region's log
+    branches.  chains[tag] maps that region's model
     coordinates into the infinity chart of the transported germ, and
     origin_chain continues back to the original input coordinates.
     """
@@ -737,10 +730,7 @@ class GeneralConjugacy:
     M: int
     psi1: _PsiCoordinate
     psi2: _PsiCoordinate
-    theta_i: LogShearParams
-    theta_o: LogShearParams
-    theta_a: LogShearParams
-    theta_b: LogShearParams
+    theta: LogShearParams
     regions: dict
     chains: dict
     germ: SkewGerm2D
@@ -784,7 +774,7 @@ def build_general_pipeline(F: SkewGerm2D, M: int = DEFAULT_M,
                and _fiber_translation(G))
     return GeneralConjugacy(
         M=M, psi1=psi1, psi2=psi2,
-        theta_i=params, theta_o=params, theta_a=params, theta_b=params,
+        theta=params,
         regions=regions, chains=chains, germ=G, origin_chain=origin_chain,
         radius=radius, alpha_rho=alpha_rho, theta_steps=theta_steps,
         trivial=trivial)
@@ -911,8 +901,8 @@ def conjugated_fiber_limit(pipe, tag):
     It uses the v-branch of the shear attached to ``tag``; feed it values
     on the side of the plane the tag lives on.
     """
-    alpha = pipe.theta_i.alpha
-    beta = pipe.theta_i.beta
+    alpha = pipe.theta.alpha
+    beta = pipe.theta.beta
     if alpha == 0:
         ginf = fiber_limit_map(pipe.germ)
         inner = lambda big: ginf(big)
@@ -924,8 +914,7 @@ def conjugated_fiber_limit(pipe, tag):
 
     def gmod(y):
         big = complex(y) + beta * log_v(complex(y))
-        return _newton_log_free(inner(big), beta, log_v, complex(y) + 1.0,
-                                "fiber limit")
+        return invert_log_shift(inner(big), beta, log_v, complex(y) + 1.0)
 
     return gmod
 

@@ -29,11 +29,16 @@ class NotNormalized(FatouError):
 
 
 class NewtonDiverged(FatouError):
-    """Newton iteration for a local inverse failed to converge."""
+    """Newton iteration for a local inverse failed to converge.
 
-    def __init__(self, msg: str, last_value: complex | None = None):
+    reason is the guard of `germs.newton` that stopped it, if any.
+    """
+
+    def __init__(self, msg: str, last_value: complex | None = None,
+                 reason: str | None = None):
         super().__init__(msg)
         self.last_value = last_value
+        self.reason = reason
 
 
 class DegenerateQuadratic(FatouError):

@@ -286,7 +286,8 @@ class CompiledExpr:
     objects the tree holds and every operation keeps its operands and its
     order, so `fn(env)` is bit-identical to walking the tree, for scalars
     and numpy arrays alike. The first operation to raise is the one the
-    walk would reach first.
+    walk would reach first. Each intermediate is deleted after its last
+    use, so on arrays the function holds no more temporaries than the walk.
     """
 
     __slots__ = ("expr", "fn")
@@ -315,10 +316,10 @@ def _compile(expr: Expr):
         # repr tells -0.0 from 0.0 and int from complex, which == does not
         return name_of(("c", type(value), repr(value)), make)
 
-    def line(rhs):
+    def line(rhs, *operands):
         def make():
             name = f"t{len(lines)}"
-            lines.append(f"        {name} = {rhs}")
+            lines.append((name, rhs, operands))
             return name
         return make
 
@@ -332,22 +333,31 @@ def _compile(expr: Expr):
             name = name_of(("v", node.name), line(f"env[{node.name!r}]"))
         elif isinstance(node, Neg):
             a = emit(node.arg)
-            name = name_of(("neg", a), line(f"-{a}"))
+            name = name_of(("neg", a), line(f"-{a}", a))
         elif isinstance(node, Pow):
             a = emit(node.base)
             e = const(node.exponent)
-            name = name_of(("pow", a, e), line(f"{a} ** {e}"))
+            name = name_of(("pow", a, e), line(f"{a} ** {e}", a))
         else:
             a = emit(node.left)
             b = emit(node.right)
-            name = name_of((node.op, a, b), line(f"{a} {node.op} {b}"))
+            name = name_of((node.op, a, b),
+                           line(f"{a} {node.op} {b}", a, b))
         by_id[id(node)] = name
         return name
 
     result = emit(expr)
+    last_use = {a: k for k, (_, _, ops) in enumerate(lines) for a in ops}
+    body = []
+    for k, (name, rhs, operands) in enumerate(lines):
+        body.append(f"        {name} = {rhs}")
+        dead = [a for a in dict.fromkeys(operands)
+                if a[0] == "t" and last_use[a] == k]
+        if dead:
+            body.append(f"        del {', '.join(dead)}")
     names = ", ".join(f"c{k}" for k in range(len(consts)))
     source = "\n".join(
-        [f"def _make({names}):", "    def fn(env):"] + lines
+        [f"def _make({names}):", "    def fn(env):"] + body
         + [f"        return {result}", "    return fn"])
     scope: dict = {}
     exec(compile(source, "<compiled expression>", "exec"), scope)

@@ -90,6 +90,39 @@ def _finite(x) -> bool:
     return bool(np.all(np.isfinite(x)))
 
 
+NEWTON_STEPS = 50
+
+
+def newton(f, df, target, guess, tol):
+    """Solve f(x) = target by steps x - r/d, r = f(x) - target, from guess.
+
+    Returns the first x with |r| <= tol. Raises NewtonDiverged with the
+    last iterate and a reason: "flat" for a zero, infinite or nan
+    derivative, "bound" for an iterate beyond 1e8 * max(1, |guess|),
+    "steps" after NEWTON_STEPS steps.
+    """
+    x = guess
+    bound = 1e8 * max(1.0, abs(x))
+    for _ in range(NEWTON_STEPS):
+        r = f(x) - target
+        if abs(r) <= tol:
+            return x
+        try:
+            d = df(x)
+        except ZeroDivisionError:
+            d = math.inf
+        if not 0 < abs(d) < math.inf:
+            raise NewtonDiverged("flat derivative", last_value=x,
+                                 reason="flat")
+        x = x - r / d
+        if abs(x) > bound:
+            raise NewtonDiverged("left the local region", last_value=x,
+                                 reason="bound")
+    raise NewtonDiverged(
+        f"no convergence to {target} in {NEWTON_STEPS} steps",
+        last_value=x, reason="steps")
+
+
 def _compiled(expr: Expr | None) -> CompiledExpr | None:
     return CompiledExpr(expr) if expr is not None else None
 
@@ -159,24 +192,11 @@ class Germ1D:
             raise WrongForm("no closed form to differentiate")
         return _num_eval(self._dcode, {self.var: x})
 
-    def local_inverse(self, target, guess=None, max_steps: int = 50):
+    def local_inverse(self, target, guess=None):
         """Newton solve self(x) = target near guess (default: target)."""
         x = target if guess is None else guess
         tol = max(1e-12, 4 * np.finfo(float).eps * abs(target))
-        bound = 1e8 * max(1.0, abs(x))
-        for _ in range(max_steps):
-            r = self(x) - target
-            if abs(r) <= tol:
-                return x
-            d = self.derivative(x)
-            if d == 0 or not _finite(d):
-                raise NewtonDiverged("flat derivative", last_value=x)
-            x = x - r / d
-            if abs(x) > bound:
-                raise NewtonDiverged("left the local region", last_value=x)
-        raise NewtonDiverged(
-            f"no convergence to {target} in {max_steps} steps",
-            last_value=x)
+        return newton(self, self.derivative, target, x, tol)
 
 
 def _strip_common_powers(p: dict, q: dict) -> tuple[dict, dict]:
@@ -302,21 +322,13 @@ class SkewGerm2D:
             else:
                 guess = Point2(p.z - 1, p.w - 1, self.chart)
         z0 = self.first.local_inverse(p.z, guess.z)
-        w0 = guess.w
-        tol = max(1e-12, 4 * np.finfo(float).eps * abs(p.w))
-        bound = 1e8 * max(1.0, abs(w0))
-        for _ in range(50):
-            r = self.fiber(z0, w0) - p.w
-            if abs(r) <= tol:
-                return Point2(z0, w0, self.chart)
-            d = self.fiber_dw(z0, w0)
-            if d == 0 or not _finite(d):
-                raise NewtonDiverged("flat fiber derivative", last_value=w0)
-            w0 = w0 - r / d
-            if abs(w0) > bound:
-                raise NewtonDiverged("left the local region", last_value=w0)
-        raise NewtonDiverged(
-            f"fiber inversion stalled at {p.as_tuple()}", last_value=w0)
+        return Point2(z0, self.fiber_inverse(z0, p.w, guess.w), self.chart)
+
+    def fiber_inverse(self, t, target, guess):
+        """Newton solve fiber(t, x) = target for x near guess."""
+        tol = max(1e-12, 4 * np.finfo(float).eps * abs(target))
+        return newton(lambda x: self.fiber(t, x),
+                      lambda x: self.fiber_dw(t, x), target, guess, tol)
 
 
 def make_skew_germ(lam, fiber, order: int, check: bool = True) -> SkewGerm2D:

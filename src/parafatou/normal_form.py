@@ -22,13 +22,12 @@ from .errors import (
     ChainDomainError,
     ChartMismatch,
     DegenerateQuadratic,
-    NewtonDiverged,
     NotNormalized,
     OrderTooLargeForJet,
     WrongForm,
 )
 from .expressions import Const, Pow, W, Z, fold_deep, subst, to_series2
-from .germs import Germ1D, Point2, SkewGerm2D, make_germ1d
+from .germs import Germ1D, Point2, SkewGerm2D, make_germ1d, newton
 from .series import INFINITY, ORIGIN, TruncatedSeries2
 
 DEFAULT_M = 4
@@ -151,15 +150,10 @@ class Translation:
         return f"translate({self.a}, {self.b})"
 
 
-def _newton_log_free(target, alpha, log, guess, label):
-    """Solve x + alpha log(x) = target."""
-    x = guess
-    for _ in range(60):
-        r = x + alpha * log(x) - target
-        if abs(r) <= 1e-12 * max(1.0, abs(target)):
-            return x
-        x = x - r / (1 + alpha / x)
-    raise NewtonDiverged(f"{label} inversion stalled", last_value=x)
+def invert_log_shift(target, alpha, log, guess):
+    """Solve x + alpha log(x) = target by `newton` from guess."""
+    return newton(lambda x: x + alpha * log(x), lambda x: 1 + alpha / x,
+                  target, guess, 1e-12 * max(1.0, abs(target)))
 
 
 @dataclass(frozen=True)
@@ -176,11 +170,11 @@ class LogCorrection:
         if self.coord == "z":
             if sign > 0:
                 return Point2(p.z + self.alpha * self.log(p.z), p.w, p.chart)
-            z = _newton_log_free(p.z, self.alpha, self.log, p.z, "L")
+            z = invert_log_shift(p.z, self.alpha, self.log, p.z)
             return Point2(z, p.w, p.chart)
         if sign > 0:
             return Point2(p.z, p.w + self.alpha * self.log(p.w), p.chart)
-        w = _newton_log_free(p.w, self.alpha, self.log, p.w, "L")
+        w = invert_log_shift(p.w, self.alpha, self.log, p.w)
         return Point2(p.z, w, p.chart)
 
     def forward(self, p: Point2) -> Point2:
@@ -216,7 +210,7 @@ class LogShear:
             target = target - self.alpha * self.log_u(p.z)
         if self.beta == 0:
             return Point2(p.z, target, p.chart)
-        w = _newton_log_free(target, self.beta, self.log_v, p.w, "theta")
+        w = invert_log_shift(target, self.beta, self.log_v, p.w)
         return Point2(p.z, w, p.chart)
 
     def describe(self) -> str:

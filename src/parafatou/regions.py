@@ -28,6 +28,8 @@ TAG_SIGNS = {"i": (1, 1), "o": (-1, -1), "a": (-1, 1), "b": (1, -1)}
 TAG_ORDER = ("i", "o", "a", "b")
 
 RADIUS_CANDIDATES = (10, 20, 50, 100, 200, 500)
+RADIUS_SAMPLES = 1000
+RADIUS_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -192,25 +194,22 @@ def _inverse_points(G: SkewGerm2D, u: np.ndarray, v: np.ndarray):
     return iu, iv
 
 
-def choose_radius(G: SkewGerm2D, safety: float = 0.5,
-                  samples: int = 1000,
-                  candidates=RADIUS_CANDIDATES,
-                  opening: float = DEFAULT_OPENING) -> float:
+def choose_radius(G: SkewGerm2D) -> float:
     """Smallest candidate radius whose regions pass a sampled margin test.
 
-    The incoming region must map one step forward with margin >= safety at
-    every sample; the outgoing region must do the same one step backward.
-    Samples are drawn from the interior band the samplers use, so a unit
-    translation cannot produce false boundary failures.
+    The incoming region must map one step forward with margin at least
+    RADIUS_MARGIN at every sample; the outgoing region must do the same one
+    step backward. Samples are drawn from the interior band the samplers
+    use, so a unit translation cannot produce false boundary failures.
     """
     if G.chart != INFINITY:
         raise ChartMismatch("choose_radius works in the infinity chart")
-    for R in candidates:
-        regions = make_regions(float(R), INFINITY, opening)
+    for R in RADIUS_CANDIDATES:
+        regions = make_regions(float(R), INFINITY)
         ok = True
         for tag, backward in (("i", False), ("o", True)):
             reg = regions[tag]
-            u, v = region_points(reg, samples, seed=0)
+            u, v = region_points(reg, RADIUS_SAMPLES, seed=0)
             try:
                 if backward:
                     u1, v1 = _inverse_points(G, u, v)
@@ -221,11 +220,11 @@ def choose_radius(G: SkewGerm2D, safety: float = 0.5,
                 ok = False
                 break
             m = np.minimum(reg.first.margin(u1), reg.second.margin(v1))
-            if not np.all(m >= safety):
+            if not np.all(m >= RADIUS_MARGIN):
                 ok = False
                 break
         if ok:
             return float(R)
     raise NoValidRadius(
-        f"no candidate radius up to {candidates[-1]} kept its regions "
-        f"invariant with margin {safety}")
+        f"no candidate radius up to {RADIUS_CANDIDATES[-1]} kept its "
+        f"regions invariant with margin {RADIUS_MARGIN}")

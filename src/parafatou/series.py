@@ -165,22 +165,6 @@ def _div1(a: Sequence[complex], b: Sequence[complex], n: int) -> list[complex]:
     return _mul1(a, _inv1(b, n), n)
 
 
-def _log1(a: Sequence[complex], n: int) -> list[complex]:
-    """Coefficients of log(a) through degree n for a with a[0] = 1.
-
-    Uses (log a)' = a'/a integrated coefficientwise, which keeps the
-    computation triangular.
-    """
-    if a[0] != 1:
-        raise NonvanishingConstant("series log requires constant term 1")
-    da = [(k + 1) * a[k + 1] if k + 1 < len(a) else 0j for k in range(n)]
-    q = _div1(da, list(a[: n + 1]) + [0j] * max(0, n + 1 - len(a)), max(n - 1, 0))
-    out = [0j] * (n + 1)
-    for k in range(1, n + 1):
-        out[k] = q[k - 1] / k
-    return out
-
-
 def compose1(outer: TruncatedSeries1, inner: TruncatedSeries1) -> TruncatedSeries1:
     """Jet of outer(inner(z)) to the common truncation order.
 
@@ -364,12 +348,6 @@ class TruncatedSeries2:
         if order >= self.order:
             return self
         return TruncatedSeries2(self.coeffs[: order + 1, : order + 1].copy())
-
-    def slice1(self, axis: str, index: int = 0) -> TruncatedSeries1:
-        """Restrict to one variable: axis='w' keeps f(0, w) etc."""
-        if axis == "w":
-            return TruncatedSeries1(self.coeffs[index, :], ORIGIN)
-        return TruncatedSeries1(self.coeffs[:, index], ORIGIN)
 
     def eval(self, z: complex, w: complex) -> complex:
         zp = z ** np.arange(self.order + 1)

@@ -153,9 +153,8 @@ def duality_check(g, alpha, points, threshold=None, cfg=None,
     entries = []
     for w in points:
         try:
-            psi0, _ = _invert_incoming(g, alpha, -w, cfg, log, seed=-w)
-            psi1, _ = _invert_incoming(g, alpha, -(w + 1), cfg, log,
-                                       seed=-w - 1)
+            psi0 = _invert_incoming(g, alpha, -w, cfg, log)
+            psi1 = _invert_incoming(g, alpha, -(w + 1), cfg, log)
             res_a = abs(g.local_inverse(psi0, guess=psi0 - 1) - psi1)
 
             z = _value_of(outgoing_1d(g, alpha, w, cfg))

@@ -5,7 +5,11 @@ import pytest
 from parafatou.engine import (
     CONVERGED,
     ESCAPED,
+    MAX_ITER,
     ConvergenceConfig,
+    Corrections,
+    FatouValue,
+    _invert_limit,
     dual_step,
     eta_point,
     incoming_2d_finite,
@@ -182,3 +186,34 @@ def test_small_fiber_escapes(G):
 def test_outgoing_wrong_side_escapes(G):
     fv = incoming_2d_special(G, Point2(50, -50, INFINITY), CFG)
     assert fv.verdict == ESCAPED
+
+
+def test_outgoing_point_on_incoming_side_escapes_at_once(G):
+    p = Point2(50 + 2j, 50 - 3j, INFINITY)
+    fv = outgoing_2d_special(G, p, CFG)
+    assert fv.verdict == ESCAPED
+    assert fv.iterations == 0
+    assert fv.value == (p.z, p.w)
+
+
+def _cycle(target):
+    """A limit whose Newton iterates alternate target, target + 1."""
+    return lambda x: FatouValue(target - 1 if x == target else target + 1,
+                                5, 1e-12, CONVERGED)
+
+
+@pytest.mark.parametrize("limit, value, iterations, delta, verdict", [
+    # the limit itself ends unconverged at the first iterate
+    (lambda x: FatouValue(x, 7, 0.5, MAX_ITER), 30 + 1j, 7, 0.5, MAX_ITER),
+    # Newton's first step leaves the 1e8 * max(1, |target|) disk
+    (lambda x: FatouValue(x + 1e12, 4, 1e-12, CONVERGED),
+     30 + 1j - 1e12, 4, float("inf"), ESCAPED),
+    # Newton cycles until its step budget runs out
+    (_cycle(30 + 1j), 30 + 1j, 5, 1.0, MAX_ITER),
+    # a limit that is the identity converges at once
+    (lambda x: FatouValue(x, 9, 1e-13, CONVERGED), 30 + 1j, 9, 1e-13,
+     CONVERGED),
+])
+def test_invert_limit_verdicts(limit, value, iterations, delta, verdict):
+    fv = _invert_limit(limit, Corrections(0j, ()), 30 + 1j)
+    assert fv == FatouValue(value, iterations, delta, verdict)

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -225,3 +226,24 @@ def test_compiled_shares_equal_subtrees_but_not_signed_zeros():
 
     with pytest.raises(ZeroDivisionError):
         ev(CompiledExpr(parse_expr("1/(z - 1)")), {"z": 1 + 0j})
+
+
+def test_compiled_arrays_hold_no_more_temporaries_than_the_walk():
+    # z + 1 z + 2 z + ... + 19 z: the walk keeps about three arrays alive
+    z = Var("z")
+    e = z
+    for k in range(1, 20):
+        e = e + Const(float(k)) * z
+    env = {"z": np.linspace(0.0, 1.0, 50_000) + 0j}
+    code = CompiledExpr(e)
+    ev(code, env)  # compile outside the measurement
+
+    def peak(expr):
+        tracemalloc.start()
+        try:
+            ev(expr, env)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(code) <= peak(e) + env["z"].nbytes

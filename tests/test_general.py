@@ -44,7 +44,7 @@ def test_special_map_needs_no_shear():
     pipe = build_general_pipeline(F)
     assert not pipe.trivial
     assert pipe.psi1.trivial
-    assert pipe.theta_i.alpha == 0 and pipe.theta_i.beta == 0
+    assert pipe.theta.alpha == 0 and pipe.theta.beta == 0
     cfg = ConvergenceConfig(tol=1e-8)
     p = Point2(50 + 3j, 50 + 2j, INFINITY)
     G = pipe.germ
@@ -60,8 +60,8 @@ def test_special_map_needs_no_shear():
 
 def test_mixed_shear_parameters(pipe_mixed):
     # frozen from the exact reduction of this map at M = 4
-    assert abs(pipe_mixed.theta_i.alpha - (-19.0 / 24.0)) < 1e-12
-    assert abs(pipe_mixed.theta_i.beta - 1.0) < 1e-12
+    assert abs(pipe_mixed.theta.alpha - (-19.0 / 24.0)) < 1e-12
+    assert abs(pipe_mixed.theta.beta - 1.0) < 1e-12
     assert abs(pipe_mixed.alpha_rho - 1.0) < 1e-12
 
 
@@ -112,8 +112,8 @@ def test_mixed_outgoing_diagram(pipe_mixed):
 
 
 def test_plain_b_diagram(pipe_plain):
-    assert pipe_plain.theta_i.alpha == 0
-    assert abs(pipe_plain.theta_i.beta) > 0.1
+    assert pipe_plain.theta.alpha == 0
+    assert abs(pipe_plain.theta.beta) > 0.1
     cfg = ConvergenceConfig(tol=1e-7)
     gmod = conjugated_fiber_limit(pipe_plain, "b")
     p = Point2(30 + 2j, -28 + 3j, INFINITY)

@@ -23,6 +23,7 @@ from parafatou.germs import (
     fiber_limit_map,
     make_germ1d,
     make_skew_germ,
+    newton,
     reciprocal_transport,
     to_infinity,
     to_origin,
@@ -323,3 +324,21 @@ def test_outside_sector_verdicts(center):
         assert _outside_sector(np.complex128(x), cfg, center) is verdict, x
         # the numpy path for arrays gives the same verdicts
         assert bool(_outside_sector(np.array(x), cfg, center)) is verdict, x
+
+
+@pytest.mark.parametrize("reason, f, df, target, guess, tol", [
+    # zero derivative at the guess; a pole of the derivative; nan
+    ("flat", lambda x: x * x, lambda x: 2 * x, 1.0, 0.0, 1e-12),
+    ("flat", lambda x: x, lambda x: 1 / x, 1.0, 0j, 1e-12),
+    ("flat", lambda x: x, lambda x: complex(math.nan, 0.0), 0.0, 1.0,
+     1e-12),
+    # the first step lands 1e9 away, ten times 1e8 * max(1, |guess|)
+    ("bound", lambda x: 1e-9 * x + 1, lambda x: 1e-9, 0.0, 0.0, 1e-12),
+    # a double root converges linearly: 2^-50 after the whole budget
+    ("steps", lambda x: x * x, lambda x: 2 * x, 0.0, 1.0, 1e-300),
+])
+def test_newton_failure_kinds(reason, f, df, target, guess, tol):
+    with pytest.raises(NewtonDiverged) as exc:
+        newton(f, df, target, guess, tol)
+    assert exc.value.reason == reason
+    assert exc.value.last_value is not None

@@ -3,6 +3,7 @@ import pytest
 
 from parafatou.errors import (
     DegenerateQuadratic,
+    NewtonDiverged,
     NotNormalized,
     OrderTooLargeForJet,
     WrongForm,
@@ -326,3 +327,14 @@ def test_branched_log():
     val = flipped(-5 - 0.1j)
     assert val.imag > 3.1  # continuous across the negative real axis
     assert abs(np.exp(val) - (-5 - 0.1j)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("w", [0j, -1])
+def test_log_shear_inverse_refuses_flat_derivative(w):
+    # v + log v has derivative 1 + 1/v: infinite at v = 0, zero at v = -1
+    shear = LogShear(0, 1, BranchedLog(np.pi), BranchedLog(np.pi))
+    with pytest.raises(NewtonDiverged) as exc:
+        shear.inverse(Point2(-5, w, INFINITY))
+    assert exc.value.reason == "flat"
+    assert exc.value.last_value == w
