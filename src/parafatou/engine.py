@@ -22,6 +22,15 @@ base germ is an exact unit translation (the sums telescope), and the
 assembled general pipeline reduces the base to that situation through
 the one-variable coordinates, so its first components are never
 iterated at all.
+
+Each engine decision is written once.  `_nested_limit` holds the
+stopping rule of every limit along one forward orbit (the incoming
+coordinates and the fiber limits the outgoing ones invert);
+`_checkpoint_limit` holds it for the recomposed stages of the outgoing
+and mixed coordinates of the general pipeline and of psi_a/psi_b.
+`_orbit` and `_fiber_orbit` walk a recomposed stage and raise `_Escaped`
+where an iterate leaves its sector; `_require_special` gates the
+special-form engines.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ MAX_ITER = "max_iter"
 ESCAPED = "escaped"
 
 _SECTOR_HALF_OPENING = 0.75 * np.pi
+_DIVERGENCE_GUARD = 1e15
 
 
 @dataclass(frozen=True)
@@ -78,16 +88,15 @@ class ConvergenceConfig:
     """Stopping and safety parameters shared by every engine.
 
     tol is the successive-difference threshold; an engine reports
-    convergence only after three consecutive differences fall below it.
-    radius is the sector scale of the domain the orbit must stay in:
-    an iterate whose modulus drops below radius/2, grows beyond
-    divergence_guard, or leaves the 3pi/4 half-opening counts as an
-    escape, not a failure.
+    convergence only after three consecutive differences fall below it
+    (`_nested_limit` and `_checkpoint_limit` apply that rule).  radius
+    is the sector scale of the domain the orbit must stay in: an iterate
+    whose modulus drops below radius/2, grows beyond 1e15, or leaves
+    the 3pi/4 half-opening counts as an escape, not a failure.
     """
 
     tol: float = 1e-10
     n_max: int = 10 ** 6
-    divergence_guard: float = 1e15
     radius: float = 10.0
 
     def __post_init__(self):
@@ -211,7 +220,7 @@ def _outside_sector(x, cfg: ConvergenceConfig, center: float) -> bool:
     scalar = isinstance(x, (complex, float))
     if not (math.isfinite(ax) if scalar else np.isfinite(ax)):
         return True
-    if ax < 0.5 * cfg.radius or ax > cfg.divergence_guard:
+    if ax < 0.5 * cfg.radius or ax > _DIVERGENCE_GUARD:
         return True
     if scalar:
         rel = cmath.phase(x * _rotation(center))
@@ -252,6 +261,104 @@ def eta_point(p: Point2) -> Point2:
     return Point2(-p.z, -p.w, p.chart)
 
 
+# ------------------------------------------------------------ limit drivers
+
+
+class _Escaped(Exception):
+    """An orbit left its sector: the iterate that left, after `steps`."""
+
+    def __init__(self, partial, steps):
+        self.partial = partial
+        self.steps = steps
+
+
+def _nested_limit(estimate, first, cfg: ConvergenceConfig) -> FatouValue:
+    """Limit of the nested sequence first, estimate(1), estimate(2), ...
+
+    The one stopping rule of the orbit limits: converged once three
+    consecutive differences fall below cfg.tol.  An estimate that raises
+    _Escaped, NonFiniteValue or NewtonDiverged ends the limit as escaped
+    at that step, holding the previous estimate; ChainDomainError
+    propagates.
+    """
+    prev = first
+    delta = float("inf")
+    streak = 0
+    for n in range(1, cfg.n_max + 1):
+        try:
+            cur = estimate(n)
+        except (_Escaped, NonFiniteValue, NewtonDiverged):
+            return FatouValue(prev, n, delta, ESCAPED)
+        delta = abs(cur - prev)
+        prev = cur
+        streak = streak + 1 if delta < cfg.tol else 0
+        if streak >= 3:
+            return FatouValue(cur, n, delta, CONVERGED)
+    return FatouValue(prev, cfg.n_max, delta, MAX_ITER)
+
+
+def _corrected_fiber_limit(fiber_step, u0, v0, cors: Corrections,
+                           cfg: ConvergenceConfig, log: BranchedLog):
+    """lim phi_K(v_n) - n along v_{k+1} = fiber_step(u0 + k, v_k)."""
+    if _outside_sector(v0, cfg, log.center):
+        return FatouValue(v0, 0, float("inf"), ESCAPED)
+    v = v0
+
+    def estimate(n):
+        nonlocal v
+        v = fiber_step(u0 + (n - 1), v)
+        if _outside_sector(v, cfg, log.center):
+            raise _Escaped(v, n)
+        return cors.phi(v, log) - n
+
+    return _nested_limit(estimate, cors.phi(v0, log), cfg)
+
+
+def _checkpoint_limit(stage_value, cfg: ConvergenceConfig) -> FatouValue:
+    """Limit of a non-nesting stage sequence, probed at doubling blocks.
+
+    Each block recomputes four consecutive stages from scratch and
+    applies the three-difference rule to them; the stage index doubles
+    from 8 until the budget runs out.  Recomposition costs about eight
+    times the final stage in total.  A stage that raises _Escaped ends
+    the limit as escaped with the iterate that left.
+    """
+    n = 8
+    delta = float("inf")
+    while True:
+        try:
+            vals = [stage_value(m) for m in (n, n + 1, n + 2, n + 3)]
+        except _Escaped as esc:
+            return FatouValue(esc.partial, esc.steps, delta, ESCAPED)
+        diffs = [abs(vals[i + 1] - vals[i]) for i in range(3)]
+        delta = diffs[2]
+        if max(diffs) < cfg.tol:
+            return FatouValue(vals[3], n + 3, delta, CONVERGED)
+        if 2 * n + 3 > cfg.n_max:
+            return FatouValue(vals[3], n + 3, delta, MAX_ITER)
+        n *= 2
+
+
+def _orbit(G: SkewGerm2D, q: Point2, n: int, cfg: ConvergenceConfig,
+           cu: float, cv: float) -> Point2:
+    """n steps of G from q, each coordinate checked in its sector."""
+    for k in range(n):
+        q = G.evaluate(q)
+        if _outside_sector(q.z, cfg, cu) or _outside_sector(q.w, cfg, cv):
+            raise _Escaped((q.z, q.w), k + 1)
+    return q
+
+
+def _fiber_orbit(G: SkewGerm2D, t0, w, n: int, cfg: ConvergenceConfig,
+                 center: float):
+    """n fiber steps from w over the base points t0, t0 + 1, ..."""
+    for k in range(n):
+        w = G.fiber(t0 + k, w)
+        if _outside_sector(w, cfg, center):
+            raise _Escaped(w, k + 1)
+    return w
+
+
 # -------------------------------------------------------------- one variable
 
 
@@ -273,25 +380,8 @@ def incoming_1d(g: Germ1D, alpha: complex, w, cfg: ConvergenceConfig = None,
         return FatouValue(w, 0, float("inf"), ESCAPED)
     if alpha == 0 and _translation_jet(g.jet) and g(w) - w == 1:
         return FatouValue(w, 1, 0.0, CONVERGED)
-    cors = abel_corrections(g.jet, alpha)
-    prev = cors.phi(w, log)
-    x = w
-    delta = float("inf")
-    streak = 0
-    for n in range(1, cfg.n_max + 1):
-        try:
-            x = g(x)
-        except NonFiniteValue:
-            return FatouValue(prev, n, delta, ESCAPED)
-        if _outside_sector(x, cfg, log.center):
-            return FatouValue(prev, n, delta, ESCAPED)
-        cur = cors.phi(x, log) - n
-        delta = abs(cur - prev)
-        prev = cur
-        streak = streak + 1 if delta < cfg.tol else 0
-        if streak >= 3:
-            return FatouValue(cur, n, delta, CONVERGED)
-    return FatouValue(prev, cfg.n_max, delta, MAX_ITER)
+    return _corrected_fiber_limit(lambda t, x: g(x), 0, w,
+                                  abel_corrections(g.jet, alpha), cfg, log)
 
 
 def incoming_1d_trace(g: Germ1D, alpha: complex, w, n_steps: int,
@@ -465,8 +555,16 @@ def psi_b_finite(G, p: Point2, n: int) -> Point2:
 # ------------------------------------------------------------ two variables
 
 
-def _require_special(G: SkewGerm2D) -> Germ1D:
-    """Validate the translation-base skew form; return the fiber limit."""
+def _require_special(G: SkewGerm2D, p: Point2) -> Germ1D | None:
+    """Validate the translation-base skew form; return the fiber limit.
+
+    None means G is the unit translation in both coordinates, on which
+    every special coordinate is the identity.
+    """
+    if p.chart != G.chart:
+        raise ChartMismatch("point and germ chart differ")
+    if _translation_jet(G.first.jet) and _fiber_translation(G):
+        return None
     if G.chart != INFINITY:
         raise ChartMismatch("special-form engines run at infinity")
     if not _translation_jet(G.first.jet):
@@ -485,43 +583,6 @@ def _require_special(G: SkewGerm2D) -> Germ1D:
     return ginf
 
 
-class _Escaped(Exception):
-    def __init__(self, partial, steps):
-        self.partial = partial
-        self.steps = steps
-
-
-def _check_point(x, cfg, center, partial, steps):
-    if _outside_sector(x, cfg, center):
-        raise _Escaped(partial, steps)
-
-
-def _corrected_fiber_limit(fiber_step, u0, v0, cors: Corrections,
-                           cfg: ConvergenceConfig, center: float):
-    """lim phi_K(v_n) - n along v_{k+1} = fiber_step(u0 + k, v_k)."""
-    log = BranchedLog(center)
-    if _outside_sector(v0, cfg, center):
-        return FatouValue(v0, 0, float("inf"), ESCAPED)
-    prev = cors.phi(v0, log)
-    v = v0
-    delta = float("inf")
-    streak = 0
-    for n in range(1, cfg.n_max + 1):
-        try:
-            v = fiber_step(u0 + (n - 1), v)
-        except (NonFiniteValue, NewtonDiverged):
-            return FatouValue(prev, n, delta, ESCAPED)
-        if _outside_sector(v, cfg, center):
-            return FatouValue(prev, n, delta, ESCAPED)
-        cur = cors.phi(v, log) - n
-        delta = abs(cur - prev)
-        prev = cur
-        streak = streak + 1 if delta < cfg.tol else 0
-        if streak >= 3:
-            return FatouValue(cur, n, delta, CONVERGED)
-    return FatouValue(prev, cfg.n_max, delta, MAX_ITER)
-
-
 def incoming_2d_special(G: SkewGerm2D, p: Point2,
                         cfg: ConvergenceConfig = None) -> FatouValue:
     """Componentwise limit of the orbit minus the stage count.
@@ -531,13 +592,12 @@ def incoming_2d_special(G: SkewGerm2D, p: Point2,
     corrections of the fiber's limit germ.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if p.chart != G.chart:
-        raise ChartMismatch("point and germ chart differ")
-    if _translation_jet(G.first.jet) and _fiber_translation(G):
+    ginf = _require_special(G, p)
+    if ginf is None:
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    ginf = _require_special(G)
     cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
-    fv = _corrected_fiber_limit(G.fiber, p.z, p.w, cors, cfg, 0.0)
+    fv = _corrected_fiber_limit(G.fiber, p.z, p.w, cors, cfg,
+                                BranchedLog(0.0))
     return FatouValue((p.z, fv.value), fv.iterations, fv.last_delta,
                       fv.verdict)
 
@@ -552,50 +612,21 @@ def outgoing_2d_special(G: SkewGerm2D, p: Point2,
     then satisfies the forward diagram by construction.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if p.chart != G.chart:
-        raise ChartMismatch("point and germ chart differ")
-    if _translation_jet(G.first.jet) and _fiber_translation(G):
+    ginf = _require_special(G, p)
+    if ginf is None:
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    ginf = _require_special(G)
     dual_jet = infinity_inverse1(ginf.jet)
     cors = abel_corrections(dual_jet, dual_jet.coeff(1))
+    log = BranchedLog(0.0)
 
     def h_fiber(t, y):
         return -G.fiber_inverse(-t - 1, -y, complex(-y - 1))
 
     fv = _invert_limit(
-        lambda y: _corrected_fiber_limit(h_fiber, -p.z, y, cors, cfg, 0.0),
+        lambda y: _corrected_fiber_limit(h_fiber, -p.z, y, cors, cfg, log),
         cors, -p.w)
     return FatouValue((p.z, -fv.value), fv.iterations, fv.last_delta,
                       fv.verdict)
-
-
-def _checkpoint_limit(stage_value, cfg: ConvergenceConfig, fallback,
-                      start_n: int = 8) -> FatouValue:
-    """Limit of a non-nesting stage sequence, probed at doubling blocks.
-
-    Each block recomputes four consecutive stages from scratch and
-    applies the three-difference rule to them; the stage index doubles
-    until the budget runs out.  Recomposition costs about eight times
-    the final stage in total.
-    """
-    n = start_n
-    best = fallback
-    delta = float("inf")
-    reached = 0
-    while n + 3 <= max(cfg.n_max, start_n + 3):
-        try:
-            vals = [stage_value(m) for m in (n, n + 1, n + 2, n + 3)]
-        except _Escaped as esc:
-            return FatouValue(esc.partial, esc.steps, delta, ESCAPED)
-        diffs = [abs(vals[i + 1] - vals[i]) for i in range(3)]
-        if max(diffs) < cfg.tol:
-            return FatouValue(vals[3], n + 3, diffs[2], CONVERGED)
-        best = vals[3]
-        delta = diffs[2]
-        reached = n + 3
-        n *= 2
-    return FatouValue(best, reached, delta, MAX_ITER)
 
 
 def psi_a(G: SkewGerm2D, p: Point2,
@@ -607,11 +638,9 @@ def psi_a(G: SkewGerm2D, p: Point2,
     Stages do not nest, so convergence is checked on doubling blocks.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if p.chart != G.chart:
-        raise ChartMismatch("point and germ chart differ")
-    if _translation_jet(G.first.jet) and _fiber_translation(G):
+    ginf = _require_special(G, p)
+    if ginf is None:
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    ginf = _require_special(G)
     cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
     log = BranchedLog(0.0)
     u0, v0 = p.z, p.w
@@ -619,15 +648,12 @@ def psi_a(G: SkewGerm2D, p: Point2,
         return FatouValue((u0, v0), 0, float("inf"), ESCAPED)
 
     def stage(n):
-        w = v0
-        for k in range(n):
-            w = G.fiber(u0 - 2 * n + k, w)
-            _check_point(w, cfg, 0.0, (u0, w), k + 1)
+        w = _fiber_orbit(G, u0 - 2 * n, v0, n, cfg, 0.0)
         return cors.phi(w, log) - n
 
-    fv = _checkpoint_limit(stage, cfg, (u0, v0))
-    value = fv.value if fv.verdict == ESCAPED else (u0, fv.value)
-    return FatouValue(value, fv.iterations, fv.last_delta, fv.verdict)
+    fv = _checkpoint_limit(stage, cfg)
+    return FatouValue((u0, fv.value), fv.iterations, fv.last_delta,
+                      fv.verdict)
 
 
 def psi_b(G: SkewGerm2D, p: Point2,
@@ -640,25 +666,15 @@ def psi_b(G: SkewGerm2D, p: Point2,
     floor for tol is set by recomposition noise, about n^2 ulps.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if p.chart != G.chart:
-        raise ChartMismatch("point and germ chart differ")
-    if _translation_jet(G.first.jet) and _fiber_translation(G):
+    if _require_special(G, p) is None:
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    _require_special(G)
     u0, v0 = p.z, p.w
     if _outside_sector(v0, cfg, np.pi):
         return FatouValue((u0, v0), 0, float("inf"), ESCAPED)
-
-    def stage(n):
-        w = v0 - n
-        for k in range(n):
-            w = G.fiber(u0 + n + k, w)
-            _check_point(w, cfg, np.pi, (u0, w), k + 1)
-        return w
-
-    fv = _checkpoint_limit(stage, cfg, (u0, v0))
-    value = fv.value if fv.verdict == ESCAPED else (u0, fv.value)
-    return FatouValue(value, fv.iterations, fv.last_delta, fv.verdict)
+    fv = _checkpoint_limit(
+        lambda n: _fiber_orbit(G, u0 + n, v0 - n, n, cfg, np.pi), cfg)
+    return FatouValue((u0, fv.value), fv.iterations, fv.last_delta,
+                      fv.verdict)
 
 
 # -------------------------------------------------------- general pipeline
@@ -786,31 +802,19 @@ def _general_incoming(pipe: GeneralConjugacy, p: Point2,
     theta = pipe.theta_steps["i"]
     try:
         phi1 = pipe.psi1.backward(p.z)
-        prev = theta.inverse(Point2(phi1, p.w, INFINITY)).w
+        first = theta.inverse(Point2(phi1, p.w, INFINITY)).w
     except NewtonDiverged:
         return FatouValue((p.z, p.w), 0, float("inf"), ESCAPED)
     q = p
-    delta = float("inf")
-    streak = 0
-    for n in range(1, cfg.n_max + 1):
-        try:
-            q = G.evaluate(q)
-        except NonFiniteValue:
-            return FatouValue((phi1, prev), n, delta, ESCAPED)
-        if (_outside_sector(q.z, cfg, 0.0)
-                or _outside_sector(q.w, cfg, 0.0)):
-            return FatouValue((phi1, prev), n, delta, ESCAPED)
-        try:
-            vhat = theta.inverse(Point2(phi1 + n, q.w, INFINITY)).w
-        except NewtonDiverged:
-            return FatouValue((phi1, prev), n, delta, ESCAPED)
-        cur = vhat - n
-        delta = abs(cur - prev)
-        prev = cur
-        streak = streak + 1 if delta < cfg.tol else 0
-        if streak >= 3:
-            return FatouValue((phi1, cur), n, delta, CONVERGED)
-    return FatouValue((phi1, prev), cfg.n_max, delta, MAX_ITER)
+
+    def estimate(n):
+        nonlocal q
+        q = _orbit(G, q, 1, cfg, 0.0, 0.0)
+        return theta.inverse(Point2(phi1 + n, q.w, INFINITY)).w - n
+
+    fv = _nested_limit(estimate, first, cfg)
+    return FatouValue((phi1, fv.value), fv.iterations, fv.last_delta,
+                      fv.verdict)
 
 
 def _general_outgoing(pipe: GeneralConjugacy, p: Point2,
@@ -825,16 +829,10 @@ def _general_outgoing(pipe: GeneralConjugacy, p: Point2,
     def stage(n):
         b = pipe.psi2.forward(p.z - n)
         w = theta.forward(Point2(p.z - n, p.w - n, INFINITY)).w
-        q = Point2(b, w, INFINITY)
-        for k in range(n):
-            q = G.evaluate(q)
-            if (_outside_sector(q.z, cfg, np.pi)
-                    or _outside_sector(q.w, cfg, np.pi)):
-                raise _Escaped((q.z, q.w), k + 1)
-        return q.w
+        return _orbit(G, Point2(b, w, INFINITY), n, cfg, np.pi, np.pi).w
 
     try:
-        fv = _checkpoint_limit(stage, cfg, (p.z, p.w))
+        fv = _checkpoint_limit(stage, cfg)
     except NewtonDiverged:
         return FatouValue((phi1, p.w), 0, float("inf"), ESCAPED)
     value = fv.value if fv.verdict == ESCAPED else (phi1, fv.value)
@@ -853,12 +851,7 @@ def _general_mixed(pipe: GeneralConjugacy, tag: str, p: Point2,
             m0 = p.z - 2 * n
             b = psi.forward(m0)
             w = theta.forward(Point2(m0, p.w, INFINITY)).w
-            q = Point2(b, w, INFINITY)
-            for k in range(n):
-                q = G.evaluate(q)
-                if (_outside_sector(q.z, cfg, cu)
-                        or _outside_sector(q.w, cfg, cv)):
-                    raise _Escaped((q.z, q.w), k + 1)
+            q = _orbit(G, Point2(b, w, INFINITY), n, cfg, cu, cv)
             vhat = theta.inverse(Point2(p.z - n, q.w, INFINITY)).w
             return vhat - n
     else:
@@ -868,16 +861,11 @@ def _general_mixed(pipe: GeneralConjugacy, tag: str, p: Point2,
             m0 = p.z + n
             b = psi.forward(m0)
             w = theta.forward(Point2(m0, p.w - n, INFINITY)).w
-            q = Point2(b, w, INFINITY)
-            for k in range(n):
-                q = G.evaluate(q)
-                if (_outside_sector(q.z, cfg, cu)
-                        or _outside_sector(q.w, cfg, cv)):
-                    raise _Escaped((q.z, q.w), k + 1)
+            q = _orbit(G, Point2(b, w, INFINITY), n, cfg, cu, cv)
             return theta.inverse(Point2(p.z + 2 * n, q.w, INFINITY)).w
 
     try:
-        fv = _checkpoint_limit(stage, cfg, (p.z, p.w))
+        fv = _checkpoint_limit(stage, cfg)
     except NewtonDiverged:
         return FatouValue((p.z, p.w), 0, float("inf"), ESCAPED)
     value = fv.value if fv.verdict == ESCAPED else (p.z, fv.value)

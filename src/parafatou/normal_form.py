@@ -22,6 +22,7 @@ from .errors import (
     ChainDomainError,
     ChartMismatch,
     DegenerateQuadratic,
+    NewtonDiverged,
     NotNormalized,
     OrderTooLargeForJet,
     WrongForm,
@@ -42,7 +43,7 @@ class BranchedLog:
     branch is pinned when the object is built; evaluation refuses points
     more than 3pi/4 away from the center, which is how a long orbit that
     silently drifts across the cut gets caught instead of producing a
-    2*pi*i jump.
+    2*pi*i jump.  It refuses 0 as well, which lies on no branch.
     """
 
     __slots__ = ("center",)
@@ -53,12 +54,13 @@ class BranchedLog:
         self.center = float(center)
 
     def __call__(self, xi):
-        rot = np.exp(-1j * self.center)
-        rel = np.angle(np.asarray(xi) * rot)
-        if np.any(np.abs(rel) > self._DOMAIN):
+        y = xi * np.exp(-1j * self.center)
+        off = np.abs(np.angle(y)) > self._DOMAIN
+        if np.any(off | (y == 0)):
             raise ChainDomainError(
-                f"argument left the log branch centered at {self.center:g}")
-        return np.log(xi * rot) + 1j * self.center
+                f"argument left the log branch centered at {self.center:g}"
+                if np.any(off) else "0 lies on no log branch")
+        return np.log(y) + 1j * self.center
 
     def __repr__(self):
         return f"BranchedLog(center={self.center})"
@@ -151,7 +153,14 @@ class Translation:
 
 
 def invert_log_shift(target, alpha, log, guess):
-    """Solve x + alpha log(x) = target by `newton` from guess."""
+    """Solve x + alpha log(x) = target by `newton` from guess.
+
+    The derivative 1 + alpha/x is infinite at 0, where log is refused,
+    so a zero guess fails as a flat derivative before any residual.
+    """
+    if guess == 0:
+        raise NewtonDiverged("flat derivative", last_value=guess,
+                             reason="flat")
     return newton(lambda x: x + alpha * log(x), lambda x: 1 + alpha / x,
                   target, guess, 1e-12 * max(1.0, abs(target)))
 
@@ -261,7 +270,6 @@ class ConjugacyChain:
     """
 
     steps: tuple = ()
-    domain: object | None = None
 
     def forward(self, p: Point2) -> Point2:
         for s in self.steps:
@@ -275,7 +283,7 @@ class ConjugacyChain:
 
     def prepend(self, step) -> "ConjugacyChain":
         """Record one more conjugation applied after the existing ones."""
-        return ConjugacyChain((step,) + self.steps, self.domain)
+        return ConjugacyChain((step,) + self.steps)
 
     def describe(self) -> str:
         if not self.steps:
@@ -293,8 +301,7 @@ def compose_chains(later: ConjugacyChain,
     `earlier` links the intermediate germ to the original, `later` links the
     final germ to the intermediate one.
     """
-    return ConjugacyChain(later.steps + earlier.steps,
-                          later.domain or earlier.domain)
+    return ConjugacyChain(later.steps + earlier.steps)
 
 
 @dataclass(frozen=True)

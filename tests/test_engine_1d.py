@@ -13,6 +13,7 @@ from parafatou.engine import (
     MAX_ITER,
     ConvergenceConfig,
     Corrections,
+    FatouValue,
     abel_corrections,
     dual_germ_1d,
     incoming_1d,
@@ -133,6 +134,17 @@ def test_outgoing_duality_branch(quad):
         newton = outgoing_1d(quad, 1.0, w + 1j * math.pi * 1.0, CFG)
         assert newton.verdict == CONVERGED
         assert abs(direct - newton.value) < 1e-3
+
+
+def test_outgoing_escapes_when_the_dual_newton_is_flat():
+    # the dual germ steps by Newton on g(x) = -w from x = -w - 1; at w = 9
+    # that guess is -10, where g'(x) = 1 - 100/x^2 vanishes
+    g = make_germ1d("z + 1 + 100/z", order=12, chart=INFINITY)
+    fv = incoming_1d(dual_germ_1d(g), -100, 9, CFG)
+    assert fv.verdict == ESCAPED
+    assert fv.iterations == 1
+    assert outgoing_1d(g, 100, -9, CFG) == FatouValue(-9 + 0j, 0, math.inf,
+                                                      ESCAPED)
 
 
 def test_uncorrected_decay_slope(quad):

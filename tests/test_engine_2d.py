@@ -10,8 +10,10 @@ from parafatou.engine import (
     Corrections,
     FatouValue,
     _invert_limit,
+    build_general_pipeline,
     dual_step,
     eta_point,
+    general_fatou,
     incoming_2d_finite,
     incoming_2d_special,
     outgoing_2d_finite,
@@ -217,3 +219,58 @@ def _cycle(target):
 def test_invert_limit_verdicts(limit, value, iterations, delta, verdict):
     fv = _invert_limit(limit, Corrections(0j, ()), 30 + 1j)
     assert fv == FatouValue(value, iterations, delta, verdict)
+
+
+@pytest.fixture(scope="module")
+def pipe_mobius():
+    """The pipeline of maps/mobius_cubic.map, whose germ upstairs is G."""
+    F = make_skew_germ("z/(1+z)", "w - w^2 + w^3", order=12)
+    return build_general_pipeline(F)
+
+
+SHORT = ConvergenceConfig(tol=1e-12, n_max=2)
+INF = float("inf")
+
+
+@pytest.mark.parametrize("engine, start, cfg, value, iterations, delta, "
+                         "verdict", [
+    # the budget runs out: the last estimate and the steps or stage reached
+    ("incoming", (50, 6 + 2j), SHORT,
+     (50, 5.827614024283095 + 2.068697323766725j), 2, 4.833250019217744e-08,
+     MAX_ITER),
+    ("psi_a", (50, 6 + 2j), SHORT,
+     (50, 5.827614038827587 + 2.0686973416582304j), 11,
+     2.3247799829235358e-11, MAX_ITER),
+    ("i", (50, 6 + 2j), SHORT,
+     (50, 5.959988867328162 + 2.030149550143585j), 2, 0.021434739289229725,
+     MAX_ITER),
+    ("o", (-50, -6 + 2j), SHORT,
+     (-50, -6.076317313407974 + 1.9695153867873458j), 11,
+     0.003175723031906109, MAX_ITER),
+    # the orbit leaves the sector: the nested limits keep their last
+    # estimate, the recomposed ones the iterate that left, with its step
+    ("incoming", (50, -3 + 5j), CFG,
+     (50, -2.902579150716373 + 5.121882206927912j), 3, 2.194620060434768e-06,
+     ESCAPED),
+    ("psi_a", (50, -3 + 5j), CFG,
+     (50, 0.059720301259157574 + 4.92629307639114j), 3, INF, ESCAPED),
+    ("i", (50, -3 + 5j), CFG,
+     (50, -2.9721218762045507 + 4.947804406275244j), 3, 0.03277836357629097,
+     ESCAPED),
+    ("o", (-50, 3 - 5j), CFG,
+     (-53, 0.05997950370752493 - 4.884866799334281j), 5, INF, ESCAPED),
+])
+def test_failure_verdicts(G, pipe_mobius, engine, start, cfg, value,
+                          iterations, delta, verdict):
+    p = Point2(*start, INFINITY)
+    if engine == "incoming":
+        fv = incoming_2d_special(G, p, cfg)
+    elif engine == "psi_a":
+        fv = psi_a(G, p, cfg)
+    else:
+        fv = general_fatou(pipe_mobius, engine, p, cfg)
+    assert fv.verdict == verdict
+    assert fv.iterations == iterations
+    assert fv.value == (pytest.approx(value[0], rel=1e-12),
+                        pytest.approx(value[1], rel=1e-9))
+    assert fv.last_delta == pytest.approx(delta, rel=1e-6)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from parafatou.errors import (
+    ChainDomainError,
     DegenerateQuadratic,
     NewtonDiverged,
     NotNormalized,
@@ -327,6 +328,17 @@ def test_branched_log():
     val = flipped(-5 - 0.1j)
     assert val.imag > 3.1  # continuous across the negative real axis
     assert abs(np.exp(val) - (-5 - 0.1j)) < 1e-12
+
+
+@pytest.mark.parametrize("center", [0.0, np.pi])
+def test_branched_log_refuses_zero(center):
+    log = BranchedLog(center)
+    for x in (0j, 0.0, np.array([1j, 0j])):
+        with pytest.raises(ChainDomainError, match="0 lies on no"):
+            log(x)
+    shear = LogShear(0, 1, log, log)
+    with pytest.raises(ChainDomainError):
+        shear.forward(Point2(-5, 0j, INFINITY))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -143,6 +143,17 @@ def test_direct_branch_agreement(quad):
     assert rep.max_residual < 1e-3
 
 
+def test_direct_branch_annotates_failed_inversion():
+    """A Newton failure inside the outgoing limit is a recorded failure."""
+    g = make_germ1d("z + 1 + 100/z", order=12, chart=INFINITY)
+    rep = direct_branch_check(g, 100, [-9 - 100j * math.pi], n=10)
+    assert not rep.passed
+    assert rep.max_residual == math.inf
+    point, reason = rep.failures[0]
+    assert point == -9 - 100j * math.pi
+    assert "escaped" in reason
+
+
 def test_direct_branch_wrong_cut_control(quad):
     """The lower-cut claim fails by a full turn when fed the upper cut."""
     rep = direct_branch_check(quad, 1, [-20.0, -15 + 4j], n=10_000,
