@@ -23,26 +23,29 @@ assembled general pipeline reduces the base to that situation through
 the one-variable coordinates, so its first components are never
 iterated at all.
 
-Each engine decision is written once.  `_nested_limit` holds the
+Each engine decision is written once.  `_STAGES` holds each region's
+stage formula, the pair of translations around F^n; the finite stages,
+the special psi_a/psi_b and the general pipeline all read it, and the
+sector centers come from `regions.TAG_SIGNS`.  `_nested_limit` holds the
 stopping rule of every limit along one forward orbit (the incoming
 coordinates and the fiber limits the outgoing ones invert);
-`_checkpoint_limit` holds it for the recomposed stages of the outgoing
-and mixed coordinates of the general pipeline and of psi_a/psi_b.
-`_orbit` and `_fiber_orbit` walk a recomposed stage and raise `_Escaped`
-where an iterate leaves its sector; `_require_special` gates the
-special-form engines.
+`_checkpoint_limit` holds it for the recomposed stages.  `_orbit` and
+`_fiber_orbit` walk a recomposed stage and raise `_Escaped` where an
+iterate leaves its sector; `_require_special` gates the special-form
+engines.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
+    ChainDomainError,
     ChartMismatch,
     NewtonDiverged,
     NonFiniteValue,
@@ -72,15 +75,33 @@ from .normal_form import (
     solve_log_shear,
     DEFAULT_M,
 )
-from .regions import choose_radius, make_regions
+from .regions import (
+    DEFAULT_OPENING,
+    TAG_SIGNS,
+    choose_radius,
+    direction_center,
+    make_regions,
+)
 from .series import INFINITY, TruncatedSeries1, infinity_inverse1
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
 ESCAPED = "escaped"
 
-_SECTOR_HALF_OPENING = 0.75 * np.pi
 _DIVERGENCE_GUARD = 1e15
+
+# Stage n of region t's coordinate is T_end^n o F^n o T_start^n in model
+# coordinates, T^n translating by n times the (base, fiber) offsets below:
+# (start, end) per tag.  Only this pair depends on the tag.  A zero start
+# begins in the germ's coordinates (the incoming coordinate maps germ
+# points to the model) and a zero end stays in them (the outgoing one maps
+# back); either way the base telescopes to start + n in the model.
+_STAGES = {
+    "i": ((0, 0), (-1, -1)),
+    "o": ((-1, -1), (0, 0)),
+    "a": ((-2, 0), (1, -1)),
+    "b": ((1, -1), (-2, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -226,13 +247,28 @@ def _outside_sector(x, cfg: ConvergenceConfig, center: float) -> bool:
         rel = cmath.phase(x * _rotation(center))
     else:
         rel = np.angle(x * np.exp(-1j * center))
-    return abs(rel) > _SECTOR_HALF_OPENING
+    return abs(rel) > DEFAULT_OPENING
 
 
 @lru_cache(maxsize=64)
 def _rotation(center: float) -> complex:
     """np.exp(-1j * center) as a Python complex, the array path's value."""
     return complex(np.exp(-1j * center))
+
+
+def _centers(tag: str) -> tuple[float, float]:
+    """Sector centers of a region's base and fiber."""
+    su, sv = TAG_SIGNS[tag]
+    return direction_center(su), direction_center(sv)
+
+
+def _moved(x, d: int):
+    """x + d as x + d, x - |d| or x, which keep x's signed zeros."""
+    if d > 0:
+        return x + d
+    if d < 0:
+        return x - (-d)
+    return x
 
 
 def _translation_jet(jet: TruncatedSeries1) -> bool:
@@ -455,17 +491,6 @@ def _invert_limit(limit, cors: Corrections, target) -> FatouValue:
     return FatouValue(x, last.iterations, last.last_delta, CONVERGED)
 
 
-def _invert_incoming(g: Germ1D, alpha: complex, target: complex,
-                     cfg: ConvergenceConfig, log: BranchedLog) -> complex:
-    """The point x with incoming_1d(g, alpha, x) = target."""
-    fv = _invert_limit(lambda x: incoming_1d(g, alpha, x, cfg, log),
-                       abel_corrections(g.jet, alpha), target)
-    if fv.verdict != CONVERGED:
-        raise NewtonDiverged(f"incoming inversion ended {fv.verdict}",
-                             last_value=fv.value)
-    return fv.value
-
-
 def outgoing_1d(g: Germ1D, alpha: complex, w,
                 cfg: ConvergenceConfig = None) -> FatouValue:
     """Outgoing coordinate, evaluated through the sign-reversed inverse.
@@ -474,7 +499,9 @@ def outgoing_1d(g: Germ1D, alpha: complex, w,
     is the conjugate, by the sign involution, of the inverse of the
     incoming coordinate of the dual germ.  It differs from the direct
     limit definition by an additive branch constant; see
-    `outgoing_1d_direct` for the uncorrected comparison object.
+    `outgoing_1d_direct` for the uncorrected comparison object.  An
+    unconverged inversion keeps the inner limit's iterations, last_delta
+    and verdict.
     """
     if g.chart != INFINITY:
         raise ChartMismatch("outgoing coordinate lives at infinity")
@@ -486,9 +513,7 @@ def outgoing_1d(g: Germ1D, alpha: complex, w,
     log = BranchedLog(0.0)
     fv = _invert_limit(lambda x: incoming_1d(dual, -alpha, x, cfg, log),
                        abel_corrections(dual.jet, -alpha), -w)
-    if fv.verdict != CONVERGED:
-        return FatouValue(-fv.value, 0, float("inf"), ESCAPED)
-    return FatouValue(-fv.value, fv.iterations, fv.last_delta, CONVERGED)
+    return FatouValue(-fv.value, fv.iterations, fv.last_delta, fv.verdict)
 
 
 def outgoing_1d_direct(g: Germ1D, alpha: complex, w, n: int,
@@ -511,45 +536,35 @@ def outgoing_1d_direct(g: Germ1D, alpha: complex, w, n: int,
 # --------------------------------------------------------- finite stages
 
 
-def _as_step(G):
-    return G.evaluate if isinstance(G, SkewGerm2D) else G
-
-
 def dual_step(G: SkewGerm2D):
     """Pointwise evaluation of the sign-reversed inverse skew product."""
     return lambda p: eta_point(G.local_inverse(eta_point(p)))
 
 
-def incoming_2d_finite(G, p: Point2, n: int) -> Point2:
-    step = _as_step(G)
-    q = p
+def _finite_stage(G, p: Point2, n: int, tag: str) -> Point2:
+    """Stage n of the tag's coordinate; G may be any step, as `dual_step`."""
+    step = G.evaluate if isinstance(G, SkewGerm2D) else G
+    (su, sv), (eu, ev) = _STAGES[tag]
+    q = Point2(_moved(p.z, su * n), _moved(p.w, sv * n), p.chart)
     for _ in range(n):
         q = step(q)
-    return Point2(q.z - n, q.w - n, q.chart)
+    return Point2(_moved(q.z, eu * n), _moved(q.w, ev * n), q.chart)
+
+
+def incoming_2d_finite(G, p: Point2, n: int) -> Point2:
+    return _finite_stage(G, p, n, "i")
 
 
 def outgoing_2d_finite(G, p: Point2, n: int) -> Point2:
-    step = _as_step(G)
-    q = Point2(p.z - n, p.w - n, p.chart)
-    for _ in range(n):
-        q = step(q)
-    return q
+    return _finite_stage(G, p, n, "o")
 
 
 def psi_a_finite(G, p: Point2, n: int) -> Point2:
-    step = _as_step(G)
-    q = Point2(p.z - 2 * n, p.w, p.chart)
-    for _ in range(n):
-        q = step(q)
-    return Point2(q.z + n, q.w - n, q.chart)
+    return _finite_stage(G, p, n, "a")
 
 
 def psi_b_finite(G, p: Point2, n: int) -> Point2:
-    step = _as_step(G)
-    q = Point2(p.z + n, p.w - n, p.chart)
-    for _ in range(n):
-        q = step(q)
-    return Point2(q.z - 2 * n, q.w, q.chart)
+    return _finite_stage(G, p, n, "b")
 
 
 # ------------------------------------------------------------ two variables
@@ -629,105 +644,105 @@ def outgoing_2d_special(G: SkewGerm2D, p: Point2,
                       fv.verdict)
 
 
-def psi_a(G: SkewGerm2D, p: Point2,
-          cfg: ConvergenceConfig = None) -> FatouValue:
-    """Mixed limit sweeping the base from depth -2n back to -n.
+def _special_mixed(G: SkewGerm2D, p: Point2, cfg: ConvergenceConfig,
+                   tag: str) -> FatouValue:
+    """Recomposed stages of a mixed tag on the special form.
 
-    Stage n applies the fiber maps at base points u-2n, ..., u-n-1 to v
-    and recenters by n; the first coordinate telescopes to u exactly.
-    Stages do not nest, so convergence is checked on doubling blocks.
+    The base is the unit translation, so u telescopes exactly and stage n
+    runs only the fiber.  A nonzero end fiber offset ends the stage in the
+    fiber limit's corrected coordinate; otherwise no correction applies.
     """
     cfg = cfg or DEFAULT_CONFIG
     ginf = _require_special(G, p)
     if ginf is None:
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
-    log = BranchedLog(0.0)
+    (su, sv), (_, ev) = _STAGES[tag]
+    cv = _centers(tag)[1]
+    if ev:
+        cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
+        log = BranchedLog(cv)
     u0, v0 = p.z, p.w
-    if _outside_sector(v0, cfg, 0.0):
+    if _outside_sector(v0, cfg, cv):
         return FatouValue((u0, v0), 0, float("inf"), ESCAPED)
 
     def stage(n):
-        w = _fiber_orbit(G, u0 - 2 * n, v0, n, cfg, 0.0)
-        return cors.phi(w, log) - n
+        w = _fiber_orbit(G, _moved(u0, su * n), _moved(v0, sv * n), n, cfg,
+                         cv)
+        return _moved(cors.phi(w, log), ev * n) if ev else w
 
     fv = _checkpoint_limit(stage, cfg)
     return FatouValue((u0, fv.value), fv.iterations, fv.last_delta,
                       fv.verdict)
 
 
+def psi_a(G: SkewGerm2D, p: Point2,
+          cfg: ConvergenceConfig = None) -> FatouValue:
+    """Mixed limit sweeping the base from depth -2n back to -n.
+
+    Stage n applies the fiber maps at base points u-2n, ..., u-n-1 to v
+    and recenters by n, in the fiber limit's corrected coordinate.
+    """
+    return _special_mixed(G, p, cfg, "a")
+
+
 def psi_b(G: SkewGerm2D, p: Point2,
           cfg: ConvergenceConfig = None) -> FatouValue:
     """Mixed limit with the unraveled fiber chain at base depth +n.
 
-    Stage n is g_{u+2n-1} o ... o g_{u+n} applied to v - n; the first
-    coordinate passes through unchanged.  No asymptotic correction
-    applies (the chain ends at bounded arguments), so the practical
-    floor for tol is set by recomposition noise, about n^2 ulps.
+    Stage n is g_{u+2n-1} o ... o g_{u+n} applied to v - n.  No
+    asymptotic correction applies, so the practical floor for tol is set
+    by recomposition noise, about n^2 ulps.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    if _require_special(G, p) is None:
-        return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    u0, v0 = p.z, p.w
-    if _outside_sector(v0, cfg, np.pi):
-        return FatouValue((u0, v0), 0, float("inf"), ESCAPED)
-    fv = _checkpoint_limit(
-        lambda n: _fiber_orbit(G, u0 + n, v0 - n, n, cfg, np.pi), cfg)
-    return FatouValue((u0, fv.value), fv.iterations, fv.last_delta,
-                      fv.verdict)
+    return _special_mixed(G, p, cfg, "b")
 
 
 # -------------------------------------------------------- general pipeline
 
 
-_BRANCH_CENTERS = {
-    "i": (0.0, 0.0),
-    "o": (np.pi, np.pi),
-    "a": (np.pi, 0.0),
-    "b": (0.0, np.pi),
-}
-
-
 class _PsiCoordinate:
     """Straightens the base germ to the unit translation on one sector.
 
-    forward maps the straightened model coordinate into the germ's
-    coordinate; backward is the corresponding one-variable coordinate
-    itself.  side=+1 builds the forward-orbit version on the right
-    sector, side=-1 the dual version on the left sector.
+    backward is the one-variable incoming coordinate of the base germ
+    (side=+1, right sector) or, conjugated by the sign involution, of its
+    dual germ (side=-1, left sector); forward is its Newton inverse,
+    mapping the straightened model coordinate into the germ's coordinate.
     """
 
-    __slots__ = ("rho", "alpha", "cfg", "side", "trivial", "_dual")
+    __slots__ = ("cfg", "side", "trivial", "_limit")
 
     def __init__(self, rho: Germ1D, alpha: complex,
                  cfg: ConvergenceConfig, side: int):
-        self.rho = rho
-        self.alpha = complex(alpha)
+        alpha = complex(alpha)
         self.cfg = cfg
         self.side = side
-        self.trivial = self.alpha == 0 and _translation_jet(rho.jet)
-        self._dual = None if self.trivial else dual_germ_1d(rho)
+        self.trivial = alpha == 0 and _translation_jet(rho.jet)
+        self._limit = ((rho, alpha) if side > 0 or self.trivial
+                       else (dual_germ_1d(rho), -alpha))
+
+    def _signed(self, x):
+        return x if self.side > 0 else -x
 
     def backward(self, u):
         if self.trivial:
             return complex(u)
-        if self.side > 0:
-            fv = incoming_1d(self.rho, self.alpha, u, self.cfg)
-        else:
-            fv = incoming_1d(self._dual, -self.alpha, -u, self.cfg)
+        g, alpha = self._limit
+        fv = incoming_1d(g, alpha, self._signed(u), self.cfg)
         if fv.verdict != CONVERGED:
             raise NewtonDiverged(
                 f"base coordinate ended {fv.verdict}", last_value=u)
-        return fv.value if self.side > 0 else -fv.value
+        return self._signed(fv.value)
 
     def forward(self, m):
         if self.trivial:
             return complex(m)
-        if self.side > 0:
-            return _invert_incoming(self.rho, self.alpha, m, self.cfg,
-                                    BranchedLog(0.0))
-        return -_invert_incoming(self._dual, -self.alpha, -m, self.cfg,
-                                 BranchedLog(0.0))
+        g, alpha = self._limit
+        log = BranchedLog(0.0)
+        fv = _invert_limit(lambda x: incoming_1d(g, alpha, x, self.cfg, log),
+                           abel_corrections(g.jet, alpha), self._signed(m))
+        if fv.verdict != CONVERGED:
+            raise NewtonDiverged(f"incoming inversion ended {fv.verdict}",
+                                 last_value=fv.value)
+        return self._signed(fv.value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -737,9 +752,9 @@ class GeneralConjugacy:
     The pipeline normalizes, raises the order, moves to infinity, and
     straightens the base on each side; theta holds the log-shear
     parameters read from the fiber's weight-one tail, shared by all four
-    regions, and theta_steps[tag] is that shear on the region's log
-    branches.  chains[tag] maps that region's model
-    coordinates into the infinity chart of the transported germ, and
+    regions.  chains[tag] maps that region's model coordinates into the
+    infinity chart of the transported germ: its first step is the shear
+    on the region's log branches, its second the region's psi.
     origin_chain continues back to the original input coordinates.
     """
 
@@ -753,7 +768,6 @@ class GeneralConjugacy:
     origin_chain: ConjugacyChain
     radius: float
     alpha_rho: complex
-    theta_steps: dict = field(repr=False, default=None)
     trivial: bool = False
 
 
@@ -775,16 +789,15 @@ def build_general_pipeline(F: SkewGerm2D, M: int = DEFAULT_M,
     psi1 = _PsiCoordinate(rho, alpha_rho, run_cfg, +1)
     psi2 = _PsiCoordinate(rho, alpha_rho, run_cfg, -1)
 
-    theta_steps = {}
     chains = {}
-    for tag, (cu, cv) in _BRANCH_CENTERS.items():
-        step = LogShear(params.alpha, params.beta,
-                        BranchedLog(cu), BranchedLog(cv))
-        theta_steps[tag] = step
-        psi = psi1 if tag in ("i", "b") else psi2
-        name = "psi1" if psi is psi1 else "psi2"
+    for tag in _STAGES:
+        cu, cv = _centers(tag)
+        shear = LogShear(params.alpha, params.beta,
+                         BranchedLog(cu), BranchedLog(cv))
+        right = TAG_SIGNS[tag][0] > 0
+        psi, name = (psi1, "psi1") if right else (psi2, "psi2")
         chains[tag] = ConjugacyChain(
-            (step, CallableStep(psi.forward, psi.backward, "z", name)))
+            (shear, CallableStep(psi.forward, psi.backward, "z", name)))
 
     trivial = (psi1.trivial and params.alpha == 0 and params.beta == 0
                and _fiber_translation(G))
@@ -792,83 +805,84 @@ def build_general_pipeline(F: SkewGerm2D, M: int = DEFAULT_M,
         M=M, psi1=psi1, psi2=psi2,
         theta=params,
         regions=regions, chains=chains, germ=G, origin_chain=origin_chain,
-        radius=radius, alpha_rho=alpha_rho, theta_steps=theta_steps,
-        trivial=trivial)
+        radius=radius, alpha_rho=alpha_rho, trivial=trivial)
+
+
+def _off_branch(log: BranchedLog, x) -> bool:
+    try:
+        log(x)
+    except ChainDomainError:
+        return True
+    return False
+
+
+def _stage_end(shear: LogShear, tag: str, z0, w, n: int):
+    """Stage n's model fiber value from germ fiber w and model base z0."""
+    (su, _), (_, ev) = _STAGES[tag]
+    base = _moved(z0, (su + 1) * n)
+    return _moved(shear.inverse(Point2(base, w, INFINITY)).w, ev * n)
 
 
 def _general_incoming(pipe: GeneralConjugacy, p: Point2,
                       cfg: ConvergenceConfig) -> FatouValue:
+    """The nested limit of tag i's stages along the forward orbit of p.
+
+    phi(F^k p) = phi(p) + (k, k), so a start whose phi1 + k lies off the
+    shear's base log branch may begin the limit k steps down its orbit
+    instead, once phi1 + k is on it.
+    """
     G = pipe.germ
-    theta = pipe.theta_steps["i"]
+    shear = pipe.chains["i"].steps[0]
+    cu, cv = _centers("i")
+    q, k = p, 0
     try:
         phi1 = pipe.psi1.backward(p.z)
-        first = theta.inverse(Point2(phi1, p.w, INFINITY)).w
+        while shear.alpha != 0 and _off_branch(shear.log_u, _moved(phi1, k)):
+            q = _orbit(G, q, 1, cfg, cu, cv)
+            k += 1
+        first = _stage_end(shear, "i", phi1, q.w, k)
     except NewtonDiverged:
         return FatouValue((p.z, p.w), 0, float("inf"), ESCAPED)
-    q = p
+    except _Escaped:
+        return FatouValue((p.z, p.w), k + 1, float("inf"), ESCAPED)
 
-    def estimate(n):
+    def estimate(m):
         nonlocal q
-        q = _orbit(G, q, 1, cfg, 0.0, 0.0)
-        return theta.inverse(Point2(phi1 + n, q.w, INFINITY)).w - n
+        q = _orbit(G, q, 1, cfg, cu, cv)
+        return _stage_end(shear, "i", phi1, q.w, k + m)
 
     fv = _nested_limit(estimate, first, cfg)
-    return FatouValue((phi1, fv.value), fv.iterations, fv.last_delta,
+    return FatouValue((phi1, fv.value), fv.iterations + k, fv.last_delta,
                       fv.verdict)
 
 
-def _general_outgoing(pipe: GeneralConjugacy, p: Point2,
-                      cfg: ConvergenceConfig) -> FatouValue:
+def _general_recomposed(pipe: GeneralConjugacy, tag: str, p: Point2,
+                        cfg: ConvergenceConfig) -> FatouValue:
+    """Tags o, a, b: each stage recomposed from scratch, from _STAGES."""
     G = pipe.germ
-    theta = pipe.theta_steps["o"]
-    try:
-        phi1 = pipe.psi2.forward(p.z)
-    except NewtonDiverged:
-        return FatouValue((p.z, p.w), 0, float("inf"), ESCAPED)
+    shear = pipe.chains[tag].steps[0]
+    (su, sv), end = _STAGES[tag]
+    cu, cv = _centers(tag)
+    psi = pipe.psi1 if TAG_SIGNS[tag][0] > 0 else pipe.psi2
+    base = p.z
+    if end == (0, 0):
+        try:
+            base = psi.forward(p.z)
+        except NewtonDiverged:
+            return FatouValue((p.z, p.w), 0, float("inf"), ESCAPED)
 
     def stage(n):
-        b = pipe.psi2.forward(p.z - n)
-        w = theta.forward(Point2(p.z - n, p.w - n, INFINITY)).w
-        return _orbit(G, Point2(b, w, INFINITY), n, cfg, np.pi, np.pi).w
+        m0 = _moved(p.z, su * n)
+        b = psi.forward(m0)
+        w = shear.forward(Point2(m0, _moved(p.w, sv * n), INFINITY)).w
+        q = _orbit(G, Point2(b, w, INFINITY), n, cfg, cu, cv)
+        return q.w if end == (0, 0) else _stage_end(shear, tag, p.z, q.w, n)
 
     try:
         fv = _checkpoint_limit(stage, cfg)
     except NewtonDiverged:
-        return FatouValue((phi1, p.w), 0, float("inf"), ESCAPED)
-    value = fv.value if fv.verdict == ESCAPED else (phi1, fv.value)
-    return FatouValue(value, fv.iterations, fv.last_delta, fv.verdict)
-
-
-def _general_mixed(pipe: GeneralConjugacy, tag: str, p: Point2,
-                   cfg: ConvergenceConfig) -> FatouValue:
-    G = pipe.germ
-    theta = pipe.theta_steps[tag]
-    cu, cv = _BRANCH_CENTERS[tag]
-    if tag == "a":
-        psi = pipe.psi2
-
-        def stage(n):
-            m0 = p.z - 2 * n
-            b = psi.forward(m0)
-            w = theta.forward(Point2(m0, p.w, INFINITY)).w
-            q = _orbit(G, Point2(b, w, INFINITY), n, cfg, cu, cv)
-            vhat = theta.inverse(Point2(p.z - n, q.w, INFINITY)).w
-            return vhat - n
-    else:
-        psi = pipe.psi1
-
-        def stage(n):
-            m0 = p.z + n
-            b = psi.forward(m0)
-            w = theta.forward(Point2(m0, p.w - n, INFINITY)).w
-            q = _orbit(G, Point2(b, w, INFINITY), n, cfg, cu, cv)
-            return theta.inverse(Point2(p.z + 2 * n, q.w, INFINITY)).w
-
-    try:
-        fv = _checkpoint_limit(stage, cfg)
-    except NewtonDiverged:
-        return FatouValue((p.z, p.w), 0, float("inf"), ESCAPED)
-    value = fv.value if fv.verdict == ESCAPED else (p.z, fv.value)
+        return FatouValue((base, p.w), 0, float("inf"), ESCAPED)
+    value = fv.value if fv.verdict == ESCAPED else (base, fv.value)
     return FatouValue(value, fv.iterations, fv.last_delta, fv.verdict)
 
 
@@ -898,7 +912,7 @@ def conjugated_fiber_limit(pipe, tag):
         inner = lambda big: big + 1
     if beta == 0:
         return lambda y: inner(complex(y))
-    log_v = pipe.theta_steps[tag].log_v
+    log_v = pipe.chains[tag].steps[0].log_v
 
     def gmod(y):
         big = complex(y) + beta * log_v(complex(y))
@@ -916,7 +930,7 @@ def general_fatou(pipe: GeneralConjugacy, tag: str, p: Point2,
     accumulating base error.  ChainDomainError propagates when an orbit
     drags a log argument across its pinned branch.
     """
-    if tag not in _BRANCH_CENTERS:
+    if tag not in _STAGES:
         raise ValueError(f"unknown region tag {tag!r}")
     if p.chart != INFINITY:
         raise ChartMismatch("general coordinates are evaluated at infinity")
@@ -925,6 +939,4 @@ def general_fatou(pipe: GeneralConjugacy, tag: str, p: Point2,
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
     if tag == "i":
         return _general_incoming(pipe, p, cfg)
-    if tag == "o":
-        return _general_outgoing(pipe, p, cfg)
-    return _general_mixed(pipe, tag, p, cfg)
+    return _general_recomposed(pipe, tag, p, cfg)

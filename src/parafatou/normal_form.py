@@ -166,37 +166,6 @@ def invert_log_shift(target, alpha, log, guess):
 
 
 @dataclass(frozen=True)
-class LogCorrection:
-    """One coordinate gets xi -> xi + alpha log(xi); the other is kept."""
-
-    alpha: complex
-    coord: str = "w"
-    log: BranchedLog = field(default_factory=BranchedLog)
-
-    def _apply(self, p: Point2, sign: int) -> Point2:
-        if self.alpha == 0:
-            return p
-        if self.coord == "z":
-            if sign > 0:
-                return Point2(p.z + self.alpha * self.log(p.z), p.w, p.chart)
-            z = invert_log_shift(p.z, self.alpha, self.log, p.z)
-            return Point2(z, p.w, p.chart)
-        if sign > 0:
-            return Point2(p.z, p.w + self.alpha * self.log(p.w), p.chart)
-        w = invert_log_shift(p.w, self.alpha, self.log, p.w)
-        return Point2(p.z, w, p.chart)
-
-    def forward(self, p: Point2) -> Point2:
-        return self._apply(p, +1)
-
-    def inverse(self, p: Point2) -> Point2:
-        return self._apply(p, -1)
-
-    def describe(self) -> str:
-        return f"log_correction(alpha={self.alpha}, coord={self.coord})"
-
-
-@dataclass(frozen=True)
 class LogShear:
     """(u, v) -> (u, v + alpha log u + beta log v)."""
 

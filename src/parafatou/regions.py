@@ -32,6 +32,11 @@ RADIUS_SAMPLES = 1000
 RADIUS_MARGIN = 0.5
 
 
+def direction_center(direction: int) -> float:
+    """Angle of the ray a sector of direction +1 or -1 is centered on."""
+    return 0.0 if direction > 0 else np.pi
+
+
 @dataclass(frozen=True)
 class Sector:
     """Open sector: |Arg(direction * xi)| < opening, radius bound by chart."""
@@ -51,7 +56,7 @@ class Sector:
 
     @property
     def center(self) -> float:
-        return 0.0 if self.direction > 0 else np.pi
+        return direction_center(self.direction)
 
     def contains(self, xi):
         """Strict membership; scalar in, bool out; array in, mask out."""

@@ -72,8 +72,7 @@ def sector_values(sector, s_rad: np.ndarray, s_ang: np.ndarray) -> np.ndarray:
         r = sector.radius * (_INF_LO + _INF_SPAN * s_rad)
     else:
         r = sector.radius * (_ORG_LO + _ORG_SPAN * s_rad)
-    center = 0.0 if sector.direction > 0 else np.pi
-    ang = center + sector.opening * (2.0 * s_ang - 1.0) * _ANGLE_PAD
+    ang = sector.center + sector.opening * (2.0 * s_ang - 1.0) * _ANGLE_PAD
     return r * np.exp(1j * ang)
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from .engine import (
     CONVERGED,
     DEFAULT_CONFIG,
-    _invert_incoming,
+    _invert_limit,
+    abel_corrections,
     dual_germ_1d,
     dual_step,
     eta_point,
@@ -150,11 +151,17 @@ def duality_check(g, alpha, points, threshold=None, cfg=None,
     thr = _default_threshold(threshold, cfg)
     log = log or BranchedLog(0.0)
     dual = dual_germ_1d(g)
+
+    def psi(target):
+        return _value_of(_invert_limit(
+            lambda x: incoming_1d(g, alpha, x, cfg, log),
+            abel_corrections(g.jet, alpha), target))
+
     entries = []
     for w in points:
         try:
-            psi0 = _invert_incoming(g, alpha, -w, cfg, log)
-            psi1 = _invert_incoming(g, alpha, -(w + 1), cfg, log)
+            psi0 = psi(-w)
+            psi1 = psi(-(w + 1))
             res_a = abs(g.local_inverse(psi0, guess=psi0 - 1) - psi1)
 
             z = _value_of(outgoing_1d(g, alpha, w, cfg))

@@ -143,7 +143,8 @@ def test_outgoing_escapes_when_the_dual_newton_is_flat():
     fv = incoming_1d(dual_germ_1d(g), -100, 9, CFG)
     assert fv.verdict == ESCAPED
     assert fv.iterations == 1
-    assert outgoing_1d(g, 100, -9, CFG) == FatouValue(-9 + 0j, 0, math.inf,
+    # outgoing_1d reports the inner limit's step and verdict
+    assert outgoing_1d(g, 100, -9, CFG) == FatouValue(-9 + 0j, 1, math.inf,
                                                       ESCAPED)
 
 

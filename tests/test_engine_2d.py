@@ -138,6 +138,20 @@ def test_finite_round_trip_ab(G):
         assert abs(q.w - p.w) < 1e-9
 
 
+@pytest.mark.parametrize("stage, z, w", [
+    (incoming_2d_finite, "(2-0j)", "(3-0j)"),
+    (outgoing_2d_finite, "(2-0j)", "(3-0j)"),
+    (psi_a_finite, "(2+0j)", "(3-0j)"),
+    (psi_b_finite, "(2+0j)", "(3-0j)"),
+])
+def test_finite_stage_translations(stage, z, w):
+    # with the identity as the step a stage is its two translations alone;
+    # x - n keeps a -0.0 imaginary part where x + n makes it +0.0
+    p = Point2(complex(3, -0.0), complex(4, -0.0), INFINITY)
+    q = stage(lambda x: x, p, 1)
+    assert (repr(q.z), repr(q.w), q.chart) == (z, w, INFINITY)
+
+
 def test_psi_b_conjugates_to_fiber_limit(G):
     cfg = ConvergenceConfig(tol=1e-8)
     ginf = fiber_limit_map(G)

@@ -4,6 +4,7 @@ import pytest
 
 from parafatou.engine import (
     CONVERGED,
+    MAX_ITER,
     ConvergenceConfig,
     build_general_pipeline,
     conjugated_fiber_limit,
@@ -13,6 +14,8 @@ from parafatou.engine import (
 from parafatou.errors import ChainDomainError, ChartMismatch
 from parafatou.germs import INFINITY, ORIGIN, Point2, make_skew_germ
 from parafatou.normal_form import Scaling
+from parafatou.sampling import region_points
+from parafatou.verify import abel_residuals
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +23,16 @@ def pipe_mixed():
     """a2 = 2, b2 = 3, with pure-z and both mixed cubic couplings."""
     F = make_skew_germ("z + 2*z^2", "w + 3*w^2 + z^3 + z^2*w + z*w^2", order=12)
     return build_general_pipeline(F)
+
+
+COARSE = ConvergenceConfig(tol=5e-7)
+
+
+@pytest.fixture(scope="module")
+def pipe_mixed_coarse():
+    """maps/mixed_cubic.map built at tol 5e-7, as the incoming benchmark."""
+    F = make_skew_germ("z + 2*z^2", "w + 3*w^2 + z^3 + z^2*w + z*w^2", order=12)
+    return build_general_pipeline(F, 4, COARSE)
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +181,32 @@ def test_branch_cut_guard(pipe_mixed):
     with pytest.raises(ChainDomainError):
         general_fatou(pipe_mixed, "i", Point2(40 + 0j, -30 + 0j, INFINITY),
                       ConvergenceConfig(tol=1e-6, n_max=200))
+
+
+def test_incoming_start_off_the_base_log_branch(pipe_mixed_coarse):
+    # a sampled region-i start (u = -7.1153 - 11.8387i, arg -2.112) whose
+    # phi1 = psi1.backward(u) lies beyond the 3pi/4 branch of the shear's
+    # base log; the limit starts one orbit step later instead of refusing
+    pipe = pipe_mixed_coarse
+    u, v = region_points(pipe.regions["i"], 40, 210)
+    p = Point2(complex(u[33]), complex(v[33]), INFINITY)
+    rep = abel_residuals(lambda q: general_fatou(pipe, "i", q, COARSE),
+                         pipe.germ, (1, 1), [p], threshold=1e-6, cfg=COARSE)
+    assert rep.passed, rep.failures
+
+
+def test_sampled_incoming_starts_are_not_refused(pipe_mixed_coarse):
+    # each of these seeds' 40 region-i points, with their images, holds
+    # one start whose phi1 lies off the base log branch
+    pipe = pipe_mixed_coarse
+    cfg = ConvergenceConfig(tol=5e-7, n_max=1)
+    skipped = 0
+    for seed in (1031, 1042, 1043):
+        u, v = region_points(pipe.regions["i"], 40, seed)
+        for a, b in zip(u, v):
+            p = Point2(complex(a), complex(b), INFINITY)
+            for q in (p, pipe.germ.evaluate(p)):
+                fv = general_fatou(pipe, "i", q, cfg)
+                assert fv.verdict == MAX_ITER
+                skipped += fv.iterations - 1
+    assert skipped == 3

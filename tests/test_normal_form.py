@@ -24,7 +24,6 @@ from parafatou.normal_form import (
     ConjugacyChain,
     FiberScale,
     Inversion,
-    LogCorrection,
     LogShear,
     Scaling,
     Shear,
@@ -288,7 +287,6 @@ def test_step_round_trips():
         (FiberScale(0.4 + 0.1j, 2), origin_p),
         (Inversion(), origin_p),
         (Translation(1 + 1j, -2), inf_p),
-        (LogCorrection(0.3 - 0.1j, "w"), inf_p),
         (LogShear(0.3, -0.2 + 0.05j), inf_p),
     ]
     for step, p in cases:
