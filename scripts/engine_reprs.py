@@ -1,0 +1,187 @@
+"""Print engine results at fixed points, so two checkouts can be diffed.
+
+    python3 scripts/engine_reprs.py <checkout> <outfile>
+
+Imports the checkout's own ``src/`` and writes one line per call: a label,
+then the value, iterations, last_delta and verdict of the FatouValue, the
+repr of a point or report, or the error's type and message.  The calls:
+
+- ``general_fatou`` tags i, o, a, b on ``maps/mobius_cubic.map`` at tol
+  1e-8 and at n_max 2, at sampled region points and at failure starts;
+- tag i on ``maps/mixed_cubic.map`` at tol 5e-7, at sampled points and
+  their images, and tags o, a, b there at n_max 600 and 2;
+- the four special engines on the Moebius germ upstairs, at the default
+  config and at n_max 2, and the four finite stages on that germ, its
+  dual step and the mixed germ, at n = 1, 3 and 10;
+- ``psi1``/``psi2`` forward and backward on both maps;
+- ``incoming_1d``, ``outgoing_1d``, ``duality_check`` and
+  ``direct_branch_check`` on one-variable germs.
+
+One run takes about 20 s on a 2-vCPU machine.  To compare two
+checkouts:
+
+    python3 scripts/engine_reprs.py old/ /tmp/old.txt
+    python3 scripts/engine_reprs.py new/ /tmp/new.txt
+    diff /tmp/old.txt /tmp/new.txt
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from pathlib import Path
+
+TAGS = ("i", "o", "a", "b")
+
+
+def _show(result) -> str:
+    if hasattr(result, "verdict"):
+        return (f"{result.value!r} {result.iterations} "
+                f"{result.last_delta!r} {result.verdict}")
+    return repr(result)
+
+
+def main(argv) -> int:
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout = Path(argv[1]).resolve()
+    sys.path.insert(0, str(checkout / "src"))
+    from parafatou import (
+        INFINITY,
+        BranchedLog,
+        ConvergenceConfig,
+        Point2,
+        build_general_pipeline,
+        direct_branch_check,
+        dual_step,
+        duality_check,
+        general_fatou,
+        incoming_1d,
+        incoming_2d_finite,
+        incoming_2d_special,
+        make_germ1d,
+        make_skew_germ,
+        outgoing_1d,
+        outgoing_2d_finite,
+        outgoing_2d_special,
+        parse_map_file,
+        psi_a,
+        psi_a_finite,
+        psi_b,
+        psi_b_finite,
+        region_points,
+    )
+
+    lines = []
+
+    def record(label, call):
+        try:
+            shown = _show(call())
+        except Exception as err:  # every failure is part of the record
+            shown = f"error {type(err).__name__}: {err}"
+        lines.append(f"{label}: {shown}")
+
+    def pipeline(name, cfg):
+        exprs = parse_map_file(
+            (checkout / "maps" / f"{name}.map").read_text())
+        F = make_skew_germ(exprs["lambda"], exprs["fiber"], order=12)
+        return build_general_pipeline(F, 4, cfg)
+
+    def sampled(pipe, tag, count, seed):
+        u, v = region_points(pipe.regions[tag], count, seed)
+        return [Point2(complex(a), complex(b), INFINITY)
+                for a, b in zip(u, v)]
+
+    # Moebius cubic: every tag, converged and at a tiny budget
+    fine = ConvergenceConfig(tol=1e-8)
+    short = ConvergenceConfig(tol=1e-12, n_max=2)
+    mobius = pipeline("mobius_cubic", fine)
+    starts = {"i": [(50, 6 + 2j), (50, -3 + 5j)],
+              "o": [(-50, -6 + 2j), (-50, 3 - 5j)]}
+    for tag in TAGS:
+        points = sampled(mobius, tag, 8, 7)
+        points += [Point2(complex(z), complex(w), INFINITY)
+                   for z, w in starts.get(tag, ())]
+        for cname, cfg in (("tol1e-8", fine), ("nmax2", short)):
+            for k, p in enumerate(points):
+                record(f"mobius {tag} {cname} #{k} {p.z!r},{p.w!r}",
+                       lambda: general_fatou(mobius, tag, p, cfg))
+
+    # mixed cubic: tag i with images, the recomposed tags capped
+    coarse = ConvergenceConfig(tol=5e-7)
+    mixed = pipeline("mixed_cubic", coarse)
+    for k, p in enumerate(sampled(mixed, "i", 5, 11)):
+        for side, q in (("point", p), ("image", mixed.germ.evaluate(p))):
+            record(f"mixed i tol5e-7 #{k} {side}",
+                   lambda: general_fatou(mixed, "i", q, coarse))
+    for tag in "oab":
+        for n_max in (600, 2):
+            cfg = ConvergenceConfig(tol=5e-7, n_max=n_max)
+            for k, p in enumerate(sampled(mixed, tag, 3, 11)):
+                record(f"mixed {tag} nmax{n_max} #{k}",
+                       lambda: general_fatou(mixed, tag, p, cfg))
+
+    # special engines and finite stages
+    G = mobius.germ
+    engines = {"incoming": incoming_2d_special,
+               "outgoing": outgoing_2d_special, "psi_a": psi_a,
+               "psi_b": psi_b}
+    special = {"incoming": [(50, 6 + 2j), (50, -3 + 5j)],
+               "outgoing": [(-50, -6 + 2j), (-50, 3 - 5j)],
+               "psi_a": [(50, 6 + 2j), (50, -3 + 5j)],
+               "psi_b": [(50, -6 + 2j), (-50, 3 - 5j)]}
+    for name, engine in engines.items():
+        for z, w in special[name]:
+            p = Point2(complex(z), complex(w), INFINITY)
+            for cname, cfg in (("default", None), ("nmax2", short)):
+                record(f"special {name} {cname} {z!r},{w!r}",
+                       lambda: engine(G, p, cfg))
+    stages = {"incoming": incoming_2d_finite, "outgoing": outgoing_2d_finite,
+              "psi_a": psi_a_finite, "psi_b": psi_b_finite}
+    steps = {"G": G, "dual": dual_step(G), "mixed": mixed.germ}
+    # the second point's negative zeros show whether a stage keeps them
+    for p in (Point2(40 + 0j, 6 + 2j, INFINITY),
+              Point2(complex(40, -0.0), complex(6, -0.0), INFINITY)):
+        for sname, step in steps.items():
+            for name, stage in stages.items():
+                for n in (1, 3, 10):
+                    record(f"finite {name} {sname} n={n} {p.z!r},{p.w!r}",
+                           lambda: stage(step, p, n))
+
+    # the base straightenings, both sides, both maps
+    for mname, pipe in (("mobius", mobius), ("mixed", mixed)):
+        for psi in ("psi1", "psi2"):
+            for x in (60 + 5j, -60 + 5j):
+                record(f"{mname} {psi}.forward {x!r}",
+                       lambda: getattr(pipe, psi).forward(x))
+                record(f"{mname} {psi}.backward {x!r}",
+                       lambda: getattr(pipe, psi).backward(x))
+
+    # one variable
+    quad = make_germ1d("z^2/(z - 1)", order=12, chart=INFINITY)
+    flat = make_germ1d("z + 1 + 100/z", order=12, chart=INFINITY)
+    cfg = ConvergenceConfig(tol=1e-10)
+    for w in (20, 14 + 9j, -3):
+        record(f"incoming_1d quad {w!r}",
+               lambda: incoming_1d(quad, 1.0, w, cfg))
+    for w in (-20, -25 + 3j, 3):
+        record(f"outgoing_1d quad {w!r}",
+               lambda: outgoing_1d(quad, 1.0, w, cfg))
+    record("outgoing_1d flat", lambda: outgoing_1d(flat, 100, -9, cfg))
+    record("duality_check quad", lambda: duality_check(
+        quad, 1, [-20.0, -25 + 3j, -18 - 2j, 3.0], cfg=cfg))
+    record("direct_branch_check quad", lambda: direct_branch_check(
+        quad, 1, [-20.0, -15 + 4j], n=10_000))
+    record("direct_branch_check wrong cut", lambda: direct_branch_check(
+        quad, 1, [-20.0], n=10_000, log=BranchedLog(-math.pi)))
+    record("direct_branch_check flat", lambda: direct_branch_check(
+        flat, 100, [-9 - 100j * math.pi], n=10))
+
+    Path(argv[2]).write_text("\n".join(lines) + "\n")
+    print(f"{len(lines)} results")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

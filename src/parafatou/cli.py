@@ -168,8 +168,10 @@ def cmd_normalize(cfg: RunConfig) -> str:
     lines.append(f"radius: R={_g17(pipe.radius)}")
 
     lines.append("chain (model coordinates back to input coordinates):")
-    for k, step in enumerate(pipe.chains["i"].steps + pipe.origin_chain.steps):
-        lines.append(f"  {k}: {step.describe()}")
+    steps = [pipe.shears["i"].describe(), "psi1(z)"]
+    steps += [step.describe() for step in pipe.origin_chain.steps]
+    for k, step in enumerate(steps):
+        lines.append(f"  {k}: {step}")
     if pipe.trivial:
         lines.append("corrections: none (the transported map is the exact"
                      " unit translation)")
@@ -237,8 +239,7 @@ def cmd_coord(cfg: RunConfig, tag: str, points=None) -> str:
             member = classify(mp, pipe.regions) or ""
         try:
             fv = general_fatou(pipe, tag, mp, ecfg)
-            v1, v2 = (fv.value if isinstance(fv.value, tuple)
-                      else (fv.value, fv.value))
+            v1, v2 = fv.value
             lines.append(
                 f"{_c17(disp.z)},{_c17(disp.w)},{member},"
                 f"{_c17(v1)},{_c17(v2)},{fv.iterations},"

@@ -29,8 +29,10 @@ the special psi_a/psi_b and the general pipeline all read it, and the
 sector centers come from `regions.TAG_SIGNS`.  `_nested_limit` holds the
 stopping rule of every limit along one forward orbit (the incoming
 coordinates and the fiber limits the outgoing ones invert);
-`_checkpoint_limit` holds it for the recomposed stages.  `_orbit` and
-`_fiber_orbit` walk a recomposed stage and raise `_Escaped` where an
+`_checkpoint_limit` holds it for the recomposed stages.
+`_incoming_inverse` is the one inverse of the incoming coordinate, behind
+psi's forward map, `outgoing_1d` and `verify.duality_check`.  `_orbit`
+and `_fiber_orbit` walk a recomposed stage and raise `_Escaped` where an
 iterate leaves its sector; `_require_special` gates the special-form
 engines.
 """
@@ -62,7 +64,6 @@ from .germs import (
 )
 from .normal_form import (
     BranchedLog,
-    CallableStep,
     ConjugacyChain,
     Inversion,
     LogShear,
@@ -356,22 +357,25 @@ def _checkpoint_limit(stage_value, cfg: ConvergenceConfig) -> FatouValue:
     Each block recomputes four consecutive stages from scratch and
     applies the three-difference rule to them; the stage index doubles
     from 8 until the budget runs out.  Recomposition costs about eight
-    times the final stage in total.  A stage that raises _Escaped ends
-    the limit as escaped with the iterate that left.
+    times the final stage in total.  No block passes cfg.n_max: below 11
+    the first block starts at n_max - 3 (at 1 when that is smaller) and
+    ends at n_max.  A stage that raises _Escaped ends the limit as
+    escaped with the iterate that left.
     """
-    n = 8
+    n = min(8, max(1, cfg.n_max - 3))
     delta = float("inf")
     while True:
+        stages = range(n, min(n + 3, cfg.n_max) + 1)
         try:
-            vals = [stage_value(m) for m in (n, n + 1, n + 2, n + 3)]
+            vals = [stage_value(m) for m in stages]
         except _Escaped as esc:
             return FatouValue(esc.partial, esc.steps, delta, ESCAPED)
-        diffs = [abs(vals[i + 1] - vals[i]) for i in range(3)]
-        delta = diffs[2]
-        if max(diffs) < cfg.tol:
-            return FatouValue(vals[3], n + 3, delta, CONVERGED)
+        diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
+        delta = diffs[-1] if diffs else delta
+        if len(diffs) == 3 and max(diffs) < cfg.tol:
+            return FatouValue(vals[-1], stages[-1], delta, CONVERGED)
         if 2 * n + 3 > cfg.n_max:
-            return FatouValue(vals[3], n + 3, delta, MAX_ITER)
+            return FatouValue(vals[-1], stages[-1], delta, MAX_ITER)
         n *= 2
 
 
@@ -491,6 +495,14 @@ def _invert_limit(limit, cors: Corrections, target) -> FatouValue:
     return FatouValue(x, last.iterations, last.last_delta, CONVERGED)
 
 
+def _incoming_inverse(g: Germ1D, alpha: complex, m, cfg: ConvergenceConfig,
+                      log: BranchedLog = None) -> FatouValue:
+    """The w with incoming_1d(g, alpha, w) = m, by `_invert_limit`."""
+    log = log or BranchedLog(0.0)
+    return _invert_limit(lambda x: incoming_1d(g, alpha, x, cfg, log),
+                         abel_corrections(g.jet, alpha), m)
+
+
 def outgoing_1d(g: Germ1D, alpha: complex, w,
                 cfg: ConvergenceConfig = None) -> FatouValue:
     """Outgoing coordinate, evaluated through the sign-reversed inverse.
@@ -509,10 +521,7 @@ def outgoing_1d(g: Germ1D, alpha: complex, w,
     w = complex(w)
     if alpha == 0 and _translation_jet(g.jet) and g(w) - w == 1:
         return FatouValue(w, 1, 0.0, CONVERGED)
-    dual = dual_germ_1d(g)
-    log = BranchedLog(0.0)
-    fv = _invert_limit(lambda x: incoming_1d(dual, -alpha, x, cfg, log),
-                       abel_corrections(dual.jet, -alpha), -w)
+    fv = _incoming_inverse(dual_germ_1d(g), -alpha, -w, cfg)
     return FatouValue(-fv.value, fv.iterations, fv.last_delta, fv.verdict)
 
 
@@ -543,11 +552,10 @@ def dual_step(G: SkewGerm2D):
 
 def _finite_stage(G, p: Point2, n: int, tag: str) -> Point2:
     """Stage n of the tag's coordinate; G may be any step, as `dual_step`."""
-    step = G.evaluate if isinstance(G, SkewGerm2D) else G
     (su, sv), (eu, ev) = _STAGES[tag]
     q = Point2(_moved(p.z, su * n), _moved(p.w, sv * n), p.chart)
     for _ in range(n):
-        q = step(q)
+        q = G(q)
     return Point2(_moved(q.z, eu * n), _moved(q.w, ev * n), q.chart)
 
 
@@ -735,10 +743,7 @@ class _PsiCoordinate:
     def forward(self, m):
         if self.trivial:
             return complex(m)
-        g, alpha = self._limit
-        log = BranchedLog(0.0)
-        fv = _invert_limit(lambda x: incoming_1d(g, alpha, x, self.cfg, log),
-                           abel_corrections(g.jet, alpha), self._signed(m))
+        fv = _incoming_inverse(*self._limit, self._signed(m), self.cfg)
         if fv.verdict != CONVERGED:
             raise NewtonDiverged(f"incoming inversion ended {fv.verdict}",
                                  last_value=fv.value)
@@ -752,10 +757,10 @@ class GeneralConjugacy:
     The pipeline normalizes, raises the order, moves to infinity, and
     straightens the base on each side; theta holds the log-shear
     parameters read from the fiber's weight-one tail, shared by all four
-    regions.  chains[tag] maps that region's model coordinates into the
-    infinity chart of the transported germ: its first step is the shear
-    on the region's log branches, its second the region's psi.
-    origin_chain continues back to the original input coordinates.
+    regions.  shears[tag] is that shear on the region's log branches; with
+    the region's psi (psi1 on the right, psi2 on the left) it maps the
+    region's model coordinates into the infinity chart of the transported
+    germ.  origin_chain continues back to the original input coordinates.
     """
 
     M: int
@@ -763,7 +768,7 @@ class GeneralConjugacy:
     psi2: _PsiCoordinate
     theta: LogShearParams
     regions: dict
-    chains: dict
+    shears: dict
     germ: SkewGerm2D
     origin_chain: ConjugacyChain
     radius: float
@@ -789,22 +794,15 @@ def build_general_pipeline(F: SkewGerm2D, M: int = DEFAULT_M,
     psi1 = _PsiCoordinate(rho, alpha_rho, run_cfg, +1)
     psi2 = _PsiCoordinate(rho, alpha_rho, run_cfg, -1)
 
-    chains = {}
-    for tag in _STAGES:
-        cu, cv = _centers(tag)
-        shear = LogShear(params.alpha, params.beta,
-                         BranchedLog(cu), BranchedLog(cv))
-        right = TAG_SIGNS[tag][0] > 0
-        psi, name = (psi1, "psi1") if right else (psi2, "psi2")
-        chains[tag] = ConjugacyChain(
-            (shear, CallableStep(psi.forward, psi.backward, "z", name)))
-
+    shears = {tag: LogShear(params.alpha, params.beta,
+                            *map(BranchedLog, _centers(tag)))
+              for tag in _STAGES}
     trivial = (psi1.trivial and params.alpha == 0 and params.beta == 0
                and _fiber_translation(G))
     return GeneralConjugacy(
         M=M, psi1=psi1, psi2=psi2,
         theta=params,
-        regions=regions, chains=chains, germ=G, origin_chain=origin_chain,
+        regions=regions, shears=shears, germ=G, origin_chain=origin_chain,
         radius=radius, alpha_rho=alpha_rho, trivial=trivial)
 
 
@@ -832,7 +830,7 @@ def _general_incoming(pipe: GeneralConjugacy, p: Point2,
     instead, once phi1 + k is on it.
     """
     G = pipe.germ
-    shear = pipe.chains["i"].steps[0]
+    shear = pipe.shears["i"]
     cu, cv = _centers("i")
     q, k = p, 0
     try:
@@ -860,7 +858,7 @@ def _general_recomposed(pipe: GeneralConjugacy, tag: str, p: Point2,
                         cfg: ConvergenceConfig) -> FatouValue:
     """Tags o, a, b: each stage recomposed from scratch, from _STAGES."""
     G = pipe.germ
-    shear = pipe.chains[tag].steps[0]
+    shear = pipe.shears[tag]
     (su, sv), end = _STAGES[tag]
     cu, cv = _centers(tag)
     psi = pipe.psi1 if TAG_SIGNS[tag][0] > 0 else pipe.psi2
@@ -912,7 +910,7 @@ def conjugated_fiber_limit(pipe, tag):
         inner = lambda big: big + 1
     if beta == 0:
         return lambda y: inner(complex(y))
-    log_v = pipe.chains[tag].steps[0].log_v
+    log_v = pipe.shears[tag].log_v
 
     def gmod(y):
         big = complex(y) + beta * log_v(complex(y))

@@ -195,37 +195,6 @@ class LogShear:
         return f"log_shear(alpha={self.alpha}, beta={self.beta})"
 
 
-class CallableStep:
-    """A coordinate change given by opaque forward/inverse callables.
-
-    Wraps the one-dimensional conjugations whose only representation is
-    numeric (a Fatou coordinate and its Newton inverse) acting on one
-    coordinate of the pair.
-    """
-
-    __slots__ = ("fwd", "inv", "coord", "label")
-
-    def __init__(self, fwd, inv, coord: str = "z", label: str = "psi"):
-        self.fwd = fwd
-        self.inv = inv
-        self.coord = coord
-        self.label = label
-
-    def _apply(self, p: Point2, f) -> Point2:
-        if self.coord == "z":
-            return Point2(f(p.z), p.w, p.chart)
-        return Point2(p.z, f(p.w), p.chart)
-
-    def forward(self, p: Point2) -> Point2:
-        return self._apply(p, self.fwd)
-
-    def inverse(self, p: Point2) -> Point2:
-        return self._apply(p, self.inv)
-
-    def describe(self) -> str:
-        return f"{self.label}({self.coord})"
-
-
 # ----------------------------------------------------------------- chains
 
 

@@ -1,9 +1,10 @@
 """Residual measurement for every identity the coordinates must satisfy.
 
-Each check walks a fixed set of sample points, evaluates both sides of one
-functional equation with the engines, and aggregates the gaps into a
-ResidualReport. Reports never hide a bad point: engine failures become
-annotated entries with an infinite residual instead of being dropped.
+Each check supplies the residual of one functional equation at one sample
+point, evaluating both sides with the engines; `_measure` walks the sample
+and aggregates the gaps into a ResidualReport. Reports never hide a bad
+point: engine failures become annotated entries with an infinite residual
+instead of being dropped, and a NaN residual counts as an infinite one.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 from .engine import (
     CONVERGED,
     DEFAULT_CONFIG,
-    _invert_limit,
-    abel_corrections,
+    _incoming_inverse,
     dual_germ_1d,
     dual_step,
     eta_point,
@@ -47,18 +47,27 @@ class ResidualReport:
         return not self.failures
 
 
-def _aggregate(name: str, entries, threshold: float) -> ResidualReport:
-    """entries: (point, residual float or reason string) pairs."""
+def _measure(name: str, points, residual, threshold: float) -> ResidualReport:
+    """residual(point) over the sample, aggregated into one report.
+
+    A FatouError is an annotated failure with an infinite residual.  A
+    NaN residual is stored as infinite too, so it fails and cannot drop
+    out of the maximum; every residual at or above threshold fails.
+    """
     residuals = []
     failures = []
-    for point, outcome in entries:
-        if isinstance(outcome, str):
+    for point in points:
+        try:
+            r = float(residual(point))
+        except FatouError as err:
             residuals.append(math.inf)
-            failures.append((point, outcome))
-        else:
-            residuals.append(float(outcome))
-            if outcome >= threshold:
-                failures.append((point, float(outcome)))
+            failures.append((point, f"{type(err).__name__}: {err}"))
+            continue
+        if math.isnan(r):
+            r = math.inf
+        residuals.append(r)
+        if r >= threshold:
+            failures.append((point, r))
     finite = [r for r in residuals if math.isfinite(r)]
     return ResidualReport(
         identity_name=name,
@@ -95,17 +104,13 @@ def _gap(a, b, zeta):
 def abel_residuals(evaluator, germ, zeta, points, threshold=None,
                    cfg=None, name="incoming-abel") -> ResidualReport:
     """|phi(F(p)) - phi(p) - zeta| over the sample."""
-    thr = _default_threshold(threshold, cfg)
-    step = germ.evaluate if hasattr(germ, "evaluate") else germ
-    entries = []
-    for p in points:
-        try:
-            lhs = _value_of(evaluator(step(p)))
-            rhs = _value_of(evaluator(p))
-            entries.append((p, _gap(lhs, rhs, zeta)))
-        except FatouError as err:
-            entries.append((p, f"{type(err).__name__}: {err}"))
-    return _aggregate(name, entries, thr)
+    def residual(p):
+        lhs = _value_of(evaluator(germ(p)))
+        rhs = _value_of(evaluator(p))
+        return _gap(lhs, rhs, zeta)
+
+    return _measure(name, points, residual,
+                    _default_threshold(threshold, cfg))
 
 
 def parametrization_residuals(parametrization, germ, zeta, points,
@@ -116,18 +121,13 @@ def parametrization_residuals(parametrization, germ, zeta, points,
     The mirror of abel_residuals for maps that carry model translations
     into the dynamics instead of the other way around.
     """
-    thr = _default_threshold(threshold, cfg)
-    step = germ.evaluate if hasattr(germ, "evaluate") else germ
-    entries = []
-    for m in points:
-        try:
-            here = _value_of(parametrization(m))
-            there = _value_of(parametrization(_shift(m, zeta)))
-            lhs = step(here)
-            entries.append((m, _gap(lhs, there, 0)))
-        except FatouError as err:
-            entries.append((m, f"{type(err).__name__}: {err}"))
-    return _aggregate(name, entries, thr)
+    def residual(m):
+        here = _value_of(parametrization(m))
+        there = _value_of(parametrization(_shift(m, zeta)))
+        return _gap(germ(here), there, 0)
+
+    return _measure(name, points, residual,
+                    _default_threshold(threshold, cfg))
 
 
 def _shift(m, zeta):
@@ -148,31 +148,26 @@ def duality_check(g, alpha, points, threshold=None, cfg=None,
     residuals when the engines are consistent.
     """
     cfg = cfg or DEFAULT_CONFIG
-    thr = _default_threshold(threshold, cfg)
     log = log or BranchedLog(0.0)
     dual = dual_germ_1d(g)
 
     def psi(target):
-        return _value_of(_invert_limit(
-            lambda x: incoming_1d(g, alpha, x, cfg, log),
-            abel_corrections(g.jet, alpha), target))
+        return _value_of(_incoming_inverse(g, alpha, target, cfg, log))
 
-    entries = []
-    for w in points:
-        try:
-            psi0 = psi(-w)
-            psi1 = psi(-(w + 1))
-            res_a = abs(g.local_inverse(psi0, guess=psi0 - 1) - psi1)
+    def residual(w):
+        psi0 = psi(-w)
+        psi1 = psi(-(w + 1))
+        res_a = abs(g.local_inverse(psi0, guess=psi0 - 1) - psi1)
 
-            z = _value_of(outgoing_1d(g, alpha, w, cfg))
-            zp = g.local_inverse(z, guess=z - 1)
-            chi0 = _value_of(incoming_1d(dual, -alpha, -z, cfg, log))
-            chi1 = _value_of(incoming_1d(dual, -alpha, -zp, cfg, log))
-            res_b = abs(chi1 - chi0 - 1)
-            entries.append((w, max(res_a, res_b)))
-        except FatouError as err:
-            entries.append((w, f"{type(err).__name__}: {err}"))
-    return _aggregate("inverse-duality", entries, thr)
+        z = _value_of(outgoing_1d(g, alpha, w, cfg))
+        zp = g.local_inverse(z, guess=z - 1)
+        chi0 = _value_of(incoming_1d(dual, -alpha, -z, cfg, log))
+        chi1 = _value_of(incoming_1d(dual, -alpha, -zp, cfg, log))
+        res_b = abs(chi1 - chi0 - 1)
+        return max(res_a, res_b)
+
+    return _measure("inverse-duality", points, residual,
+                    _default_threshold(threshold, cfg))
 
 
 def direct_branch_check(g, alpha, points, n=100_000, threshold=1e-3,
@@ -187,16 +182,15 @@ def direct_branch_check(g, alpha, points, n=100_000, threshold=1e-3,
     """
     cfg = cfg or DEFAULT_CONFIG
     log = log or BranchedLog(math.pi)
-    entries = []
     shift = 1j * math.pi * alpha
-    for w in points:
-        try:
-            direct = outgoing_1d_direct(g, alpha, w, n, log=log)
-            newton = _value_of(outgoing_1d(g, alpha, w + shift, cfg))
-            entries.append((w, abs(direct - newton)))
-        except FatouError as err:
-            entries.append((w, f"{type(err).__name__}: {err}"))
-    return _aggregate("outgoing-direct-branch", entries, float(threshold))
+
+    def residual(w):
+        direct = outgoing_1d_direct(g, alpha, w, n, log=log)
+        newton = _value_of(outgoing_1d(g, alpha, w + shift, cfg))
+        return abs(direct - newton)
+
+    return _measure("outgoing-direct-branch", points, residual,
+                    float(threshold))
 
 
 def transport_check(eta, F, G, points, threshold=None, cfg=None,
@@ -210,41 +204,36 @@ def transport_check(eta, F, G, points, threshold=None, cfg=None,
     the sample is what is reported, anchored at the first point.
     """
     cfg = cfg or DEFAULT_CONFIG
-    thr = _default_threshold(threshold, cfg)
-    stepF = F.evaluate if hasattr(F, "evaluate") else F
-    stepG = G.evaluate if hasattr(G, "evaluate") else G
-    entries = []
     anchor = None
-    for p in points:
-        try:
-            res = _gap(eta(stepG(p)), stepF(eta(p)), 0)
-            if coordinate is not None:
-                alpha_f, alpha_g = coordinate
-                diff = (_value_of(incoming_1d(F, alpha_f, eta(p), cfg))
-                        - _value_of(incoming_1d(G, alpha_g, p, cfg)))
-                if anchor is None:
-                    anchor = diff
-                res = max(res, abs(diff - anchor))
-            entries.append((p, res))
-        except FatouError as err:
-            entries.append((p, f"{type(err).__name__}: {err}"))
-    return _aggregate("chain-transport", entries, thr)
+
+    def residual(p):
+        nonlocal anchor
+        res = _gap(eta(G(p)), F(eta(p)), 0)
+        if coordinate is not None:
+            alpha_f, alpha_g = coordinate
+            diff = (_value_of(incoming_1d(F, alpha_f, eta(p), cfg))
+                    - _value_of(incoming_1d(G, alpha_g, p, cfg)))
+            if anchor is None:
+                anchor = diff
+            res = max(res, abs(diff - anchor))
+        return res
+
+    return _measure("chain-transport", points, residual,
+                    _default_threshold(threshold, cfg))
 
 
 def lambda_scaling_check(g, alpha, lam, points, threshold=None,
                          cfg=None) -> ResidualReport:
     """Rescaled coordinates translate by the rescaled step."""
     cfg = cfg or DEFAULT_CONFIG
-    thr = _default_threshold(threshold, cfg)
-    entries = []
-    for w in points:
-        try:
-            a = _value_of(incoming_1d(g, alpha, w, cfg))
-            b = _value_of(incoming_1d(g, alpha, g(w), cfg))
-            entries.append((w, abs(lam * b - lam * a - lam)))
-        except FatouError as err:
-            entries.append((w, f"{type(err).__name__}: {err}"))
-    return _aggregate("scaled-translation", entries, thr)
+
+    def residual(w):
+        a = _value_of(incoming_1d(g, alpha, w, cfg))
+        b = _value_of(incoming_1d(g, alpha, g(w), cfg))
+        return abs(lam * b - lam * a - lam)
+
+    return _measure("scaled-translation", points, residual,
+                    _default_threshold(threshold, cfg))
 
 
 def finite_n_identity_check(G, n_list, points, threshold=None,
@@ -255,23 +244,21 @@ def finite_n_identity_check(G, n_list, points, threshold=None,
     germ exactly, and the two mixed stages pair the same way; residuals
     are float-roundoff plus Newton inversion error, uniformly in n.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    thr = _default_threshold(threshold, cfg)
     H = dual_step(G)
-    entries = []
-    for p in points:
-        for n in n_list:
-            try:
-                q = outgoing_2d_finite(
-                    G, eta_point(incoming_2d_finite(H, eta_point(p), n)), n)
-                res_io = max(abs(q.z - p.z), abs(q.w - p.w))
-                r = psi_a_finite(
-                    G, eta_point(psi_b_finite(H, eta_point(p), n)), n)
-                res_ab = max(abs(r.z - p.z), abs(r.w - p.w))
-                entries.append(((p, n), max(res_io, res_ab)))
-            except FatouError as err:
-                entries.append(((p, n), f"{type(err).__name__}: {err}"))
-    return _aggregate("finite-stage-inverse", entries, thr)
+
+    def residual(pair):
+        p, n = pair
+        q = outgoing_2d_finite(
+            G, eta_point(incoming_2d_finite(H, eta_point(p), n)), n)
+        res_io = max(abs(q.z - p.z), abs(q.w - p.w))
+        r = psi_a_finite(
+            G, eta_point(psi_b_finite(H, eta_point(p), n)), n)
+        res_ab = max(abs(r.z - p.z), abs(r.w - p.w))
+        return max(res_io, res_ab)
+
+    return _measure("finite-stage-inverse",
+                    [(p, n) for p in points for n in n_list], residual,
+                    _default_threshold(threshold, cfg))
 
 
 def decay_exponent(deltas) -> float:

@@ -47,6 +47,22 @@ class TestNormalize:
         assert "radius: R=10" in text
         assert "seed=2026" in text
 
+    def test_chain_listing(self):
+        """The shear, then psi1, then the reduction back to the input."""
+        text = cmd_normalize(RunConfig(str(MAPS / "mixed_cubic.map")))
+        head = "chain (model coordinates back to input coordinates):"
+        lines = text.splitlines()
+        start = lines.index(head) + 1
+        assert lines[start:start + 7] == [
+            "  0: log_shear(alpha=(-0.7916666666666665+0j), beta=(1+0j))",
+            "  1: psi1(z)",
+            "  2: inversion",
+            "  3: fiber_scale(w -> w (1 + (0.2265625-0j) z^2))",
+            "  4: fiber_scale(w -> w (1 + (-0.625+0j) z^1))",
+            "  5: shear(w -> w + (-0.1875+0j) z^2)",
+            "  6: scale(s=(-0.5+0j), t=(-0.3333333333333333+0j))",
+        ]
+
     def test_trivial_map_zero_corrections(self, tmp_path):
         path = write_map(tmp_path,
                          "lambda = z/(1 + z)\nfiber = w/(1 + w)\n")

@@ -9,6 +9,7 @@ from parafatou.engine import (
     ConvergenceConfig,
     Corrections,
     FatouValue,
+    _checkpoint_limit,
     _invert_limit,
     build_general_pipeline,
     dual_step,
@@ -253,14 +254,14 @@ INF = float("inf")
      (50, 5.827614024283095 + 2.068697323766725j), 2, 4.833250019217744e-08,
      MAX_ITER),
     ("psi_a", (50, 6 + 2j), SHORT,
-     (50, 5.827614038827587 + 2.0686973416582304j), 11,
-     2.3247799829235358e-11, MAX_ITER),
+     (50, 5.827614024283095 + 2.068697323766725j), 2,
+     4.833250019217744e-08, MAX_ITER),
     ("i", (50, 6 + 2j), SHORT,
      (50, 5.959988867328162 + 2.030149550143585j), 2, 0.021434739289229725,
      MAX_ITER),
     ("o", (-50, -6 + 2j), SHORT,
-     (-50, -6.076317313407974 + 1.9695153867873458j), 11,
-     0.003175723031906109, MAX_ITER),
+     (-50, -6.0259325114499465 + 1.986216521222665j), 2,
+     0.012961162017777356, MAX_ITER),
     # the orbit leaves the sector: the nested limits keep their last
     # estimate, the recomposed ones the iterate that left, with its step
     ("incoming", (50, -3 + 5j), CFG,
@@ -288,3 +289,21 @@ def test_failure_verdicts(G, pipe_mobius, engine, start, cfg, value,
     assert fv.value == (pytest.approx(value[0], rel=1e-12),
                         pytest.approx(value[1], rel=1e-9))
     assert fv.last_delta == pytest.approx(delta, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_max", range(1, 13))
+def test_checkpoint_limit_respects_n_max(n_max):
+    """No recomposed stage runs beyond the budget, even below stage 11."""
+    seen = []
+
+    def stage(n):
+        seen.append(n)
+        return 1.0 / n
+
+    fv = _checkpoint_limit(stage, ConvergenceConfig(tol=1e-12, n_max=n_max))
+    assert max(seen) <= n_max
+    assert fv.verdict == MAX_ITER
+    assert fv.iterations == seen[-1]
+    assert fv.value == 1.0 / seen[-1]
+    if n_max == 11:
+        assert seen == [8, 9, 10, 11]

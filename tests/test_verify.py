@@ -111,6 +111,21 @@ def test_abel_annotates_escape(quad):
     assert "escaped" in reason
 
 
+@pytest.mark.parametrize("points", [[30.0, 25 + 6j], [25 + 6j, 30.0]])
+def test_nan_residual_is_a_failure(quad, points):
+    """A NaN residual fails the report wherever it sits in the sample."""
+    def phi(p):
+        if complex(p).imag != 0:
+            return complex("nan")
+        return incoming_1d(quad, 1, p, CFG)
+
+    rep = abel_residuals(phi, quad, 1, points, cfg=CFG)
+    assert not rep.passed
+    assert rep.failures == ((25 + 6j, math.inf),)
+    assert rep.max_residual == math.inf
+    assert rep.mean_residual < 1e-8
+
+
 def test_wrong_alpha_control(quad):
     """A bad residue never settles; the report must say so loudly."""
     short = ConvergenceConfig(tol=1e-10, n_max=20_000)
