@@ -4,7 +4,8 @@
 
 Imports the checkout's own ``src/`` and writes one line per call: a label,
 then the value, iterations, last_delta and verdict of the FatouValue, the
-repr of a point or report, or the error's type and message.  The calls:
+repr of a point or report, or the error's type and message.  Numpy
+scalars print as the Python numbers they equal.  The calls:
 
 - ``general_fatou`` tags i, o, a, b on ``maps/mobius_cubic.map`` at tol
   1e-8 and at n_max 2, at sampled region points and at failure starts;
@@ -34,11 +35,23 @@ from pathlib import Path
 TAGS = ("i", "o", "a", "b")
 
 
+def _plain(x):
+    """x with numpy scalars turned into Python numbers, inside tuples too,
+    so a change of scalar type alone does not show as a difference."""
+    if isinstance(x, tuple) and not hasattr(x, "_fields"):
+        return tuple(_plain(v) for v in x)
+    if isinstance(x, complex):
+        return complex(x)
+    if isinstance(x, float):
+        return float(x)
+    return x
+
+
 def _show(result) -> str:
     if hasattr(result, "verdict"):
-        return (f"{result.value!r} {result.iterations} "
-                f"{result.last_delta!r} {result.verdict}")
-    return repr(result)
+        return (f"{_plain(result.value)!r} {result.iterations} "
+                f"{_plain(result.last_delta)!r} {result.verdict}")
+    return repr(_plain(result))
 
 
 def main(argv) -> int:

@@ -42,7 +42,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +72,7 @@ from .normal_form import (
     invert_log_shift,
     normalize_quadratic,
     raise_order,
+    rotation,
     solve_log_shear,
     DEFAULT_M,
 )
@@ -245,16 +245,10 @@ def _outside_sector(x, cfg: ConvergenceConfig, center: float) -> bool:
     if ax < 0.5 * cfg.radius or ax > _DIVERGENCE_GUARD:
         return True
     if scalar:
-        rel = cmath.phase(x * _rotation(center))
+        rel = cmath.phase(x * rotation(center))
     else:
-        rel = np.angle(x * np.exp(-1j * center))
+        rel = np.angle(x * rotation(center))
     return abs(rel) > DEFAULT_OPENING
-
-
-@lru_cache(maxsize=64)
-def _rotation(center: float) -> complex:
-    """np.exp(-1j * center) as a Python complex, the array path's value."""
-    return complex(np.exp(-1j * center))
 
 
 def _centers(tag: str) -> tuple[float, float]:

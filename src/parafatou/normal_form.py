@@ -14,7 +14,9 @@ up front and rejected otherwise.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +37,14 @@ DEFAULT_M = 4
 MAX_M = 10
 
 
+@lru_cache(maxsize=64)
+def rotation(center: float) -> complex:
+    """np.exp(-1j * center) as a Python complex: the one turn that brings
+    a center's direction to the positive real axis, for scalars and arrays
+    alike."""
+    return complex(np.exp(-1j * center))
+
+
 class BranchedLog:
     """log with the branch cut rotated to point away from a given center.
 
@@ -44,23 +54,43 @@ class BranchedLog:
     more than 3pi/4 away from the center, which is how a long orbit that
     silently drifts across the cut gets caught instead of producing a
     2*pi*i jump.  It refuses 0 as well, which lies on no branch.
+
+    Both paths turn the argument by the cached ``rotation(center)``.  A
+    Python complex, float or int (numpy scalars included) goes through
+    ``cmath`` and gives a Python complex; anything else goes through numpy
+    elementwise.  Both refuse the same points with the same messages.
     """
 
-    __slots__ = ("center",)
+    __slots__ = ("center", "_turn")
 
     _DOMAIN = 0.75 * np.pi + 1e-9
 
     def __init__(self, center: float = 0.0):
         self.center = float(center)
+        self._turn = rotation(self.center)
 
     def __call__(self, xi):
-        y = xi * np.exp(-1j * self.center)
+        y = xi * self._turn
+        if isinstance(xi, (complex, float, int)):
+            angle = abs(cmath.phase(y))
+            if abs(angle - self._DOMAIN) < 1e-12:
+                # cmath and numpy may round y and its angle one ulp apart:
+                # at the edge the array path decides, so both paths refuse
+                # the same points
+                return complex(self(np.array([xi]))[0])
+            if angle > self._DOMAIN:
+                raise ChainDomainError(self._off_message())
+            if y == 0:
+                raise ChainDomainError("0 lies on no log branch")
+            return cmath.log(y) + 1j * self.center
         off = np.abs(np.angle(y)) > self._DOMAIN
         if np.any(off | (y == 0)):
-            raise ChainDomainError(
-                f"argument left the log branch centered at {self.center:g}"
-                if np.any(off) else "0 lies on no log branch")
+            raise ChainDomainError(self._off_message() if np.any(off)
+                                   else "0 lies on no log branch")
         return np.log(y) + 1j * self.center
+
+    def _off_message(self) -> str:
+        return f"argument left the log branch centered at {self.center:g}"
 
     def __repr__(self):
         return f"BranchedLog(center={self.center})"

@@ -348,3 +348,54 @@ def test_log_shear_inverse_refuses_flat_derivative(w):
         shear.inverse(Point2(-5, w, INFINITY))
     assert exc.value.reason == "flat"
     assert exc.value.last_value == w
+
+
+def _outcome(log, x):
+    """(value, None) or (None, refusal message) of one log call."""
+    try:
+        return log(x), None
+    except ChainDomainError as err:
+        return None, str(err)
+
+
+def _scalar_probes(center):
+    """Scalars near both branch edges, zeros with either sign, every type.
+
+    cmath and numpy round some products and angles one ulp apart, so the
+    edges get a seeded sample as well as fixed points.
+    """
+    edge = BranchedLog._DOMAIN
+    points = [0j, 0.0, 0, complex(0.0, -0.0), complex(-0.0, 0.0),
+              complex(-0.0, -0.0), 1.0, -1.0, 3, -3, 2.5 + 0.0j,
+              complex(2.5, -0.0), complex(-2.5, 0.0), complex(-2.5, -0.0)]
+    for side in (edge, -edge):
+        for gap in (1e-7, 1e-14):
+            for angle in (side - gap, side + gap):
+                for r in (1e-3, 1.0, 7.5e4):
+                    points.append(r * complex(np.exp(1j * (center + angle))))
+    points += [np.complex128(x) for x in points[-6:]] + [
+        np.complex128(0j), np.complex128(-1.0), np.float64(-2.0),
+        np.float64(2.0)]
+    rng = np.random.default_rng(17)
+    for side in (edge, -edge):
+        angles = center + side + rng.uniform(-1e-14, 1e-14, 1000)
+        radii = np.exp(rng.uniform(-8.0, 12.0, 1000))
+        points += [complex(x) for x in radii * np.exp(1j * angles)]
+    return points
+
+
+@pytest.mark.parametrize("center", [0.0, np.pi, np.pi / 2, -0.75 * np.pi,
+                                    2.0])
+def test_branched_log_scalar_path_matches_array_path(center):
+    log = BranchedLog(center)
+    outcomes = {"refused": 0, "accepted": 0}
+    for x in _scalar_probes(center):
+        value, refused = _outcome(log, x)
+        array_value, array_refused = _outcome(log, np.array([x]))
+        assert refused == array_refused, x
+        if refused is None:
+            assert type(value) is complex, x
+            assert abs(value - array_value[0]) <= 1e-15 * max(1, abs(value))
+        outcomes["accepted" if refused is None else "refused"] += 1
+    # about half of the edge sample lies past an edge
+    assert min(outcomes.values()) > 800, outcomes
