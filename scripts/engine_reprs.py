@@ -8,7 +8,9 @@ repr of a point or report, or the error's type and message.  Numpy
 scalars print as the Python numbers they equal.  The calls:
 
 - ``general_fatou`` tags i, o, a, b on ``maps/mobius_cubic.map`` at tol
-  1e-8 and at n_max 2, at sampled region points and at failure starts;
+  1e-8 and at n_max 2, at sampled region points and at failure starts,
+  and at tol 1e-8 at starts whose base lies outside the tag's base sector
+  while the fiber lies inside its own, with integer and complex bases;
 - tag i on ``maps/mixed_cubic.map`` at tol 5e-7, at sampled points and
   their images, and tags o, a, b there at n_max 600 and 2;
 - the four special engines on the Moebius germ upstairs, at the default
@@ -18,7 +20,7 @@ scalars print as the Python numbers they equal.  The calls:
 - ``incoming_1d``, ``outgoing_1d``, ``duality_check`` and
   ``direct_branch_check`` on one-variable germs.
 
-One run takes about 20 s on a 2-vCPU machine.  To compare two
+One run takes about 5 s on a 2-vCPU machine.  To compare two
 checkouts:
 
     python3 scripts/engine_reprs.py old/ /tmp/old.txt
@@ -120,6 +122,16 @@ def main(argv) -> int:
             for k, p in enumerate(points):
                 record(f"mobius {tag} {cname} #{k} {p.z!r},{p.w!r}",
                        lambda: general_fatou(mobius, tag, p, cfg))
+
+    # only a check of the base stops these orbits: the base starts
+    # outside the tag's base sector, the fiber inside its own
+    outside = {"i": (-50, 50 + 2j), "o": (50, -50 + 2j),
+               "a": (50, 50 + 1j), "b": (-50, -50 + 1j)}
+    for tag, (z, w) in outside.items():
+        for p in (Point2(z, w, INFINITY),
+                  Point2(complex(z), w, INFINITY)):
+            record(f"mobius {tag} base outside {p.z!r},{p.w!r}",
+                   lambda: general_fatou(mobius, tag, p, fine))
 
     # mixed cubic: tag i with images, the recomposed tags capped
     coarse = ConvergenceConfig(tol=5e-7)

@@ -23,6 +23,16 @@ assembled general pipeline reduces the base to that situation through
 the one-variable coordinates, so its first components are never
 iterated at all.
 
+When the transported germ already has the special form (exact unit
+translation base, no log shear, fiber limit v + 1 + O(1/v^2)), the
+general pipeline runs the special engines' corrected limits,
+`_special_fatou`: they subtract the fiber limit's tail and converge in a
+few steps, where the uncorrected recomposed stages stop about 1/n short
+of the limit.  The pipeline decides this once, when it is built, and the
+limits then check every base point of an orbit in its sector, as the
+recomposed stages do.  Log-sheared pipelines, or ones whose base needs
+straightening, recompose every stage anew.
+
 Each engine decision is written once.  `_STAGES` holds each region's
 stage formula, the pair of translations around F^n; the finite stages,
 the special psi_a/psi_b and the general pipeline all read it, and the
@@ -33,8 +43,9 @@ coordinates and the fiber limits the outgoing ones invert);
 `_incoming_inverse` is the one inverse of the incoming coordinate, behind
 psi's forward map, `outgoing_1d` and `verify.duality_check`.  `_orbit`
 and `_fiber_orbit` walk a recomposed stage and raise `_Escaped` where an
-iterate leaves its sector; `_require_special` gates the special-form
-engines.
+iterate leaves its sector; `_special_fiber_limit` tests the special form,
+for `_require_special`, which gates the public special engines, and for
+the pipeline.
 """
 
 from __future__ import annotations
@@ -234,21 +245,40 @@ def abel_corrections(jet: TruncatedSeries1, alpha: complex,
     return out
 
 
+def _dual_corrections(jet: TruncatedSeries1) -> Corrections:
+    """abel_corrections of the dual germ's jet, `infinity_inverse1(jet)`.
+
+    Cached beside abel_corrections' own entries: the inversion costs about
+    1 ms, several times an outgoing evaluation on the special form.
+    """
+    key = ("dual", tuple(jet.coeffs))
+    hit = _correction_cache.get(key)
+    if hit is None:
+        dual = infinity_inverse1(jet)
+        hit = _correction_cache[key] = abel_corrections(dual, dual.coeff(1))
+    return hit
+
+
 # ----------------------------------------------------------- small helpers
 
 
-def _outside_sector(x, cfg: ConvergenceConfig, center: float) -> bool:
+def _outside_sector(x, cfg: ConvergenceConfig, center: float):
+    """Whether x leaves the sector of center: radius, divergence or angle.
+
+    A number of any type gives a Python bool; an array gives an array of
+    verdicts, elementwise.
+    """
+    if isinstance(x, np.ndarray):
+        ax = np.abs(x)
+        with np.errstate(invalid="ignore"):
+            rel = np.angle(x * rotation(center))
+        return (~np.isfinite(ax) | (ax < 0.5 * cfg.radius)
+                | (ax > _DIVERGENCE_GUARD) | (np.abs(rel) > DEFAULT_OPENING))
     ax = abs(x)
-    scalar = isinstance(x, (complex, float))
-    if not (math.isfinite(ax) if scalar else np.isfinite(ax)):
+    if (not math.isfinite(ax) or ax < 0.5 * cfg.radius
+            or ax > _DIVERGENCE_GUARD):
         return True
-    if ax < 0.5 * cfg.radius or ax > _DIVERGENCE_GUARD:
-        return True
-    if scalar:
-        rel = cmath.phase(x * rotation(center))
-    else:
-        rel = np.angle(x * rotation(center))
-    return abs(rel) > DEFAULT_OPENING
+    return abs(cmath.phase(x * rotation(center))) > DEFAULT_OPENING
 
 
 def _centers(tag: str) -> tuple[float, float]:
@@ -329,16 +359,25 @@ def _nested_limit(estimate, first, cfg: ConvergenceConfig) -> FatouValue:
 
 
 def _corrected_fiber_limit(fiber_step, u0, v0, cors: Corrections,
-                           cfg: ConvergenceConfig, log: BranchedLog):
-    """lim phi_K(v_n) - n along v_{k+1} = fiber_step(u0 + k, v_k)."""
-    if _outside_sector(v0, cfg, log.center):
+                           cfg: ConvergenceConfig, log: BranchedLog,
+                           base_center: float | None = None):
+    """lim phi_K(v_n) - n along v_{k+1} = fiber_step(u0 + k, v_k).
+
+    Each v_n is checked in the sector of log.center; with base_center, each
+    base point u0 + n is checked in that sector too, from n = 0.
+    """
+    def outside(u, v):
+        return _outside_sector(v, cfg, log.center) or (
+            base_center is not None and _outside_sector(u, cfg, base_center))
+
+    if outside(u0, v0):
         return FatouValue(v0, 0, float("inf"), ESCAPED)
     v = v0
 
     def estimate(n):
         nonlocal v
         v = fiber_step(u0 + (n - 1), v)
-        if _outside_sector(v, cfg, log.center):
+        if outside(u0 + n, v):
             raise _Escaped(v, n)
         return cors.phi(v, log) - n
 
@@ -384,12 +423,25 @@ def _orbit(G: SkewGerm2D, q: Point2, n: int, cfg: ConvergenceConfig,
 
 
 def _fiber_orbit(G: SkewGerm2D, t0, w, n: int, cfg: ConvergenceConfig,
-                 center: float):
-    """n fiber steps from w over the base points t0, t0 + 1, ..."""
-    for k in range(n):
+                 center: float, base_center: float | None = None):
+    """n fiber steps from w over the base points t0, t0 + 1, ...
+
+    Each fiber iterate is checked in the sector of center.  With
+    base_center, the base points reached, t0 + 1, ..., t0 + n, are checked
+    in that sector too, all at once before the walk; the walk then stops
+    at the first one outside it.
+    """
+    steps = n
+    if base_center is not None:
+        out = _outside_sector(t0 + np.arange(1, n + 1), cfg, base_center)
+        if out.any():
+            steps = int(out.argmax()) + 1
+    for k in range(steps):
         w = G.fiber(t0 + k, w)
         if _outside_sector(w, cfg, center):
             raise _Escaped(w, k + 1)
+    if steps < n:
+        raise _Escaped(w, steps)
     return w
 
 
@@ -572,6 +624,20 @@ def psi_b_finite(G, p: Point2, n: int) -> Point2:
 # ------------------------------------------------------------ two variables
 
 
+def _special_fiber_limit(G: SkewGerm2D) -> Germ1D:
+    """G's fiber limit, which the special form needs to be v + 1 + O(1/v^2).
+
+    Raises WrongForm otherwise.
+    """
+    ginf = fiber_limit_map(G)
+    if abs(ginf.jet.coeff(0) - 1) > 1e-9:
+        raise WrongForm("fiber limit must translate by exactly 1")
+    if abs(ginf.jet.coeff(1)) > 1e-9:
+        raise WrongForm(
+            "fiber carries a 1/v tail; conjugate by the log shear first")
+    return ginf
+
+
 def _require_special(G: SkewGerm2D, p: Point2) -> Germ1D | None:
     """Validate the translation-base skew form; return the fiber limit.
 
@@ -586,18 +652,95 @@ def _require_special(G: SkewGerm2D, p: Point2) -> Germ1D | None:
         raise ChartMismatch("special-form engines run at infinity")
     if not _translation_jet(G.first.jet):
         raise WrongForm("first coordinate must be the exact unit translation")
-    ginf = fiber_limit_map(G)
-    if abs(ginf.jet.coeff(0) - 1) > 1e-9:
-        raise WrongForm("fiber limit must translate by exactly 1")
-    if abs(ginf.jet.coeff(1)) > 1e-9:
-        raise WrongForm(
-            "fiber carries a 1/v tail; conjugate by the log shear first")
+    ginf = _special_fiber_limit(G)
     if G.jet2 is not None:
         params = solve_log_shear(G)
         if abs(params.alpha) > 1e-9:
             raise WrongForm(
                 "fiber carries a 1/u tail; conjugate by the log shear first")
     return ginf
+
+
+def _special_fatou(G: SkewGerm2D, ginf: Germ1D, tag: str, p: Point2,
+                   cfg: ConvergenceConfig,
+                   base_guard: bool = False) -> FatouValue:
+    """Region tag's coordinate of a special-form G with fiber limit ginf.
+
+    The corrected limits behind the special engines and, for pipelines of
+    that form, `general_fatou`.  The base is the unit translation, so u
+    telescopes exactly and only the fiber is iterated.  base_guard also
+    checks the base points of every orbit in the region's base sector, as
+    the general pipeline's orbit walks do.
+    """
+    if tag == "i":
+        cu, cv = _centers(tag)
+        cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
+        fv = _corrected_fiber_limit(G.fiber, p.z, p.w, cors, cfg,
+                                    BranchedLog(cv),
+                                    cu if base_guard else None)
+    elif tag == "o":
+        fv = _special_outgoing(G, ginf, p, cfg, base_guard)
+    else:
+        fv = _special_mixed(G, ginf, p, cfg, tag, base_guard)
+    return FatouValue((p.z, fv.value), fv.iterations, fv.last_delta,
+                      fv.verdict)
+
+
+def _special_outgoing(G: SkewGerm2D, ginf: Germ1D, p: Point2,
+                      cfg: ConvergenceConfig, base_guard: bool) -> FatouValue:
+    """The outgoing fiber value, through the dual incoming limit.
+
+    The dual skew product has fiber steps -g^{-1}_{-t-1}(-y) over the base
+    -u, which lies in the incoming sector; its incoming coordinate is
+    inverted in the fiber by Newton, and negated back.
+    """
+    cors = _dual_corrections(ginf.jet)
+    cu, cv = _centers("i")
+    log = BranchedLog(cv)
+
+    def h_fiber(t, y):
+        return -G.fiber_inverse(-t - 1, -y, complex(-y - 1))
+
+    fv = _invert_limit(
+        lambda y: _corrected_fiber_limit(h_fiber, -p.z, y, cors, cfg, log,
+                                         cu if base_guard else None),
+        cors, -p.w)
+    return replace(fv, value=-fv.value)
+
+
+def _special_mixed(G: SkewGerm2D, ginf: Germ1D, p: Point2,
+                   cfg: ConvergenceConfig, tag: str,
+                   base_guard: bool) -> FatouValue:
+    """Recomposed fiber stages of a mixed tag.
+
+    Stage n runs only the fiber.  A nonzero end fiber offset ends the
+    stage in the fiber limit's corrected coordinate; otherwise no
+    correction applies.
+    """
+    (su, sv), (_, ev) = _STAGES[tag]
+    cu, cv = _centers(tag)
+    if ev:
+        cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
+        log = BranchedLog(cv)
+    u0, v0 = p.z, p.w
+    if _outside_sector(v0, cfg, cv):
+        return FatouValue(v0, 0, float("inf"), ESCAPED)
+
+    def stage(n):
+        w = _fiber_orbit(G, _moved(u0, su * n), _moved(v0, sv * n), n, cfg,
+                         cv, cu if base_guard else None)
+        return _moved(cors.phi(w, log), ev * n) if ev else w
+
+    return _checkpoint_limit(stage, cfg)
+
+
+def _checked_special(G: SkewGerm2D, p: Point2, cfg: ConvergenceConfig,
+                     tag: str) -> FatouValue:
+    """A special engine: validate G's form, then take the tag's limit."""
+    ginf = _require_special(G, p)
+    if ginf is None:
+        return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
+    return _special_fatou(G, ginf, tag, p, cfg or DEFAULT_CONFIG)
 
 
 def incoming_2d_special(G: SkewGerm2D, p: Point2,
@@ -608,15 +751,7 @@ def incoming_2d_special(G: SkewGerm2D, p: Point2,
     base is the unit translation; only the fiber is iterated, with the
     corrections of the fiber's limit germ.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    ginf = _require_special(G, p)
-    if ginf is None:
-        return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
-    fv = _corrected_fiber_limit(G.fiber, p.z, p.w, cors, cfg,
-                                BranchedLog(0.0))
-    return FatouValue((p.z, fv.value), fv.iterations, fv.last_delta,
-                      fv.verdict)
+    return _checked_special(G, p, cfg, "i")
 
 
 def outgoing_2d_special(G: SkewGerm2D, p: Point2,
@@ -628,53 +763,7 @@ def outgoing_2d_special(G: SkewGerm2D, p: Point2,
     sign involutions around it give the outgoing coordinate of G, which
     then satisfies the forward diagram by construction.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    ginf = _require_special(G, p)
-    if ginf is None:
-        return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    dual_jet = infinity_inverse1(ginf.jet)
-    cors = abel_corrections(dual_jet, dual_jet.coeff(1))
-    log = BranchedLog(0.0)
-
-    def h_fiber(t, y):
-        return -G.fiber_inverse(-t - 1, -y, complex(-y - 1))
-
-    fv = _invert_limit(
-        lambda y: _corrected_fiber_limit(h_fiber, -p.z, y, cors, cfg, log),
-        cors, -p.w)
-    return FatouValue((p.z, -fv.value), fv.iterations, fv.last_delta,
-                      fv.verdict)
-
-
-def _special_mixed(G: SkewGerm2D, p: Point2, cfg: ConvergenceConfig,
-                   tag: str) -> FatouValue:
-    """Recomposed stages of a mixed tag on the special form.
-
-    The base is the unit translation, so u telescopes exactly and stage n
-    runs only the fiber.  A nonzero end fiber offset ends the stage in the
-    fiber limit's corrected coordinate; otherwise no correction applies.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    ginf = _require_special(G, p)
-    if ginf is None:
-        return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
-    (su, sv), (_, ev) = _STAGES[tag]
-    cv = _centers(tag)[1]
-    if ev:
-        cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
-        log = BranchedLog(cv)
-    u0, v0 = p.z, p.w
-    if _outside_sector(v0, cfg, cv):
-        return FatouValue((u0, v0), 0, float("inf"), ESCAPED)
-
-    def stage(n):
-        w = _fiber_orbit(G, _moved(u0, su * n), _moved(v0, sv * n), n, cfg,
-                         cv)
-        return _moved(cors.phi(w, log), ev * n) if ev else w
-
-    fv = _checkpoint_limit(stage, cfg)
-    return FatouValue((u0, fv.value), fv.iterations, fv.last_delta,
-                      fv.verdict)
+    return _checked_special(G, p, cfg, "o")
 
 
 def psi_a(G: SkewGerm2D, p: Point2,
@@ -684,7 +773,7 @@ def psi_a(G: SkewGerm2D, p: Point2,
     Stage n applies the fiber maps at base points u-2n, ..., u-n-1 to v
     and recenters by n, in the fiber limit's corrected coordinate.
     """
-    return _special_mixed(G, p, cfg, "a")
+    return _checked_special(G, p, cfg, "a")
 
 
 def psi_b(G: SkewGerm2D, p: Point2,
@@ -695,7 +784,7 @@ def psi_b(G: SkewGerm2D, p: Point2,
     asymptotic correction applies, so the practical floor for tol is set
     by recomposition noise, about n^2 ulps.
     """
-    return _special_mixed(G, p, cfg, "b")
+    return _checked_special(G, p, cfg, "b")
 
 
 # -------------------------------------------------------- general pipeline
@@ -755,6 +844,14 @@ class GeneralConjugacy:
     the region's psi (psi1 on the right, psi2 on the left) it maps the
     region's model coordinates into the infinity chart of the transported
     germ.  origin_chain continues back to the original input coordinates.
+
+    fiber_limit is set when the transported germ has the special form: a
+    trivial psi1 (the base is the exact unit translation), alpha = beta = 0
+    (no shear) and a fiber limit v + 1 + O(1/v^2).  Then every region's
+    coordinate is a limit of the fiber alone, and `general_fatou` runs the
+    special engines' corrected limits on it, which subtract the fiber
+    limit's jet-derived tail and so reach the limit itself in a few steps;
+    the recomposed stages stop about 1/n short of it.
     """
 
     M: int
@@ -768,6 +865,7 @@ class GeneralConjugacy:
     radius: float
     alpha_rho: complex
     trivial: bool = False
+    fiber_limit: Germ1D | None = None
 
 
 def build_general_pipeline(F: SkewGerm2D, M: int = DEFAULT_M,
@@ -791,13 +889,20 @@ def build_general_pipeline(F: SkewGerm2D, M: int = DEFAULT_M,
     shears = {tag: LogShear(params.alpha, params.beta,
                             *map(BranchedLog, _centers(tag)))
               for tag in _STAGES}
-    trivial = (psi1.trivial and params.alpha == 0 and params.beta == 0
-               and _fiber_translation(G))
+    unsheared = psi1.trivial and params.alpha == 0 and params.beta == 0
+    trivial = unsheared and _fiber_translation(G)
+    fiber_limit = None
+    if unsheared and not trivial:
+        try:
+            fiber_limit = _special_fiber_limit(G)
+        except WrongForm:
+            pass
     return GeneralConjugacy(
         M=M, psi1=psi1, psi2=psi2,
         theta=params,
         regions=regions, shears=shears, germ=G, origin_chain=origin_chain,
-        radius=radius, alpha_rho=alpha_rho, trivial=trivial)
+        radius=radius, alpha_rho=alpha_rho, trivial=trivial,
+        fiber_limit=fiber_limit)
 
 
 def _off_branch(log: BranchedLog, x) -> bool:
@@ -919,8 +1024,12 @@ def general_fatou(pipe: GeneralConjugacy, tag: str, p: Point2,
 
     The first coordinate is never iterated: it telescopes through the
     straightened base exactly, which is what keeps long orbits from
-    accumulating base error.  ChainDomainError propagates when an orbit
-    drags a log argument across its pinned branch.
+    accumulating base error.  A pipeline with a fiber_limit runs the
+    special engines' corrected limits, with every base point of an orbit
+    checked in its sector as the recomposed stages check it; the others
+    run `_general_incoming` (tag i) and `_general_recomposed`.
+    ChainDomainError propagates when an orbit drags a log argument across
+    its pinned branch.
     """
     if tag not in _STAGES:
         raise ValueError(f"unknown region tag {tag!r}")
@@ -929,6 +1038,9 @@ def general_fatou(pipe: GeneralConjugacy, tag: str, p: Point2,
     cfg = replace(cfg or DEFAULT_CONFIG, radius=pipe.radius)
     if pipe.trivial:
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
+    if pipe.fiber_limit is not None:
+        return _special_fatou(pipe.germ, pipe.fiber_limit, tag, p, cfg,
+                              base_guard=True)
     if tag == "i":
         return _general_incoming(pipe, p, cfg)
     return _general_recomposed(pipe, tag, p, cfg)

@@ -243,6 +243,14 @@ def pipe_mobius():
     return build_general_pipeline(F)
 
 
+@pytest.fixture(scope="module")
+def pipe_curved():
+    """The Moebius fiber over a base that is not the exact translation
+    upstairs: psi1 is nontrivial, so general_fatou recomposes its stages."""
+    F = make_skew_germ("z - z^2", "w - w^2 + w^3", order=12)
+    return build_general_pipeline(F)
+
+
 SHORT = ConvergenceConfig(tol=1e-12, n_max=2)
 INF = float("inf")
 
@@ -256,12 +264,14 @@ INF = float("inf")
     ("psi_a", (50, 6 + 2j), SHORT,
      (50, 5.827614024283095 + 2.068697323766725j), 2,
      4.833250019217744e-08, MAX_ITER),
+    # the Moebius pipeline runs the special engines' corrected limits
     ("i", (50, 6 + 2j), SHORT,
-     (50, 5.959988867328162 + 2.030149550143585j), 2, 0.021434739289229725,
+     (50, 5.827614024283095 + 2.068697323766725j), 2, 4.833250019217744e-08,
      MAX_ITER),
-    ("o", (-50, -6 + 2j), SHORT,
-     (-50, -6.0259325114499465 + 1.986216521222665j), 2,
-     0.012961162017777356, MAX_ITER),
+    # the inner limit fails at the first Newton evaluation, so the
+    # inversion returns its start, the input (ROADMAP item 6)
+    ("o", (-50, -6 + 2j), SHORT, (-50, -6 + 2j), 2, 3.922956437077432e-08,
+     MAX_ITER),
     # the orbit leaves the sector: the nested limits keep their last
     # estimate, the recomposed ones the iterate that left, with its step
     ("incoming", (50, -3 + 5j), CFG,
@@ -270,18 +280,35 @@ INF = float("inf")
     ("psi_a", (50, -3 + 5j), CFG,
      (50, 0.059720301259157574 + 4.92629307639114j), 3, INF, ESCAPED),
     ("i", (50, -3 + 5j), CFG,
-     (50, -2.9721218762045507 + 4.947804406275244j), 3, 0.03277836357629097,
+     (50, -2.902579150716373 + 5.121882206927912j), 3, 2.194620060434768e-06,
      ESCAPED),
-    ("o", (-50, 3 - 5j), CFG,
-     (-53, 0.05997950370752493 - 4.884866799334281j), 5, INF, ESCAPED),
+    # the start-return again (ROADMAP item 6)
+    ("o", (-50, 3 - 5j), CFG, (-50, 3 - 5j), 3, 2.4846563430945715e-06,
+     ESCAPED),
+    # the recomposed path: a base that needs straightening under the
+    # same fiber gives the same fiber values and verdicts, uncorrected
+    ("curved i", (50, 6 + 2j), SHORT,
+     (46.09811329429865, 5.959988867328162 + 2.030149550143585j), 2,
+     0.021434739289229725, MAX_ITER),
+    ("curved o", (-50, -6 + 2j), SHORT,
+     (-46.15726596520968, -6.0259325114499465 + 1.986216521222665j), 2,
+     0.012961162017777356, MAX_ITER),
+    ("curved i", (50, -3 + 5j), CFG,
+     (46.09811329429865, -2.9721218762045507 + 4.947804406275244j), 3,
+     0.03277836357629097, ESCAPED),
+    ("curved o", (-50, 3 - 5j), CFG,
+     (-49.09617018978323, 0.05997950370752493 - 4.884866799334281j), 5, INF,
+     ESCAPED),
 ])
-def test_failure_verdicts(G, pipe_mobius, engine, start, cfg, value,
-                          iterations, delta, verdict):
+def test_failure_verdicts(G, pipe_mobius, pipe_curved, engine, start, cfg,
+                          value, iterations, delta, verdict):
     p = Point2(*start, INFINITY)
     if engine == "incoming":
         fv = incoming_2d_special(G, p, cfg)
     elif engine == "psi_a":
         fv = psi_a(G, p, cfg)
+    elif engine.startswith("curved"):
+        fv = general_fatou(pipe_curved, engine[-1], p, cfg)
     else:
         fv = general_fatou(pipe_mobius, engine, p, cfg)
     assert fv.verdict == verdict
@@ -289,6 +316,18 @@ def test_failure_verdicts(G, pipe_mobius, engine, start, cfg, value,
     assert fv.value == (pytest.approx(value[0], rel=1e-12),
                         pytest.approx(value[1], rel=1e-9))
     assert fv.last_delta == pytest.approx(delta, rel=1e-6)
+
+
+@pytest.mark.parametrize("tag, start", [
+    ("i", (-50, 50 + 2j)), ("o", (50, -50 + 2j)),
+    ("a", (50, 50 + 1j)), ("b", (-50, -50 + 1j)),
+])
+def test_pipeline_checks_the_base(pipe_mobius, tag, start):
+    """The fiber starts inside its sector and the base outside its own:
+    the special limits the Moebius pipeline runs stop at the base."""
+    fv = general_fatou(pipe_mobius, tag, Point2(*start, INFINITY), CFG)
+    assert fv.verdict == ESCAPED
+    assert fv.iterations <= 1
 
 
 @pytest.mark.parametrize("n_max", range(1, 13))

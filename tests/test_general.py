@@ -1,15 +1,19 @@
 """End-to-end pipeline: reduction chain plus coordinates for general maps."""
 
+from dataclasses import replace
+
 import pytest
 
 from parafatou.engine import (
     CONVERGED,
     MAX_ITER,
     ConvergenceConfig,
+    _finite_stage,
     build_general_pipeline,
     conjugated_fiber_limit,
     general_fatou,
     incoming_2d_special,
+    psi_b,
 )
 from parafatou.errors import ChainDomainError, ChartMismatch
 from parafatou.germs import INFINITY, ORIGIN, Point2, make_skew_germ
@@ -66,9 +70,39 @@ def test_special_map_needs_no_shear():
     assert a.verdict == CONVERGED
     assert abs(b.value[1] - a.value[1] - 1) < 1e-7
     assert abs(b.value[0] - a.value[0] - 1) < 1e-12
-    # same limit as the corrected engine, up to the uncorrected 1/n tail
+    # the same limit as the special engine, which the pipeline runs
     sp = incoming_2d_special(G, p, cfg)
     assert abs(sp.value[1] - a.value[1]) < 1e-3
+
+
+def test_special_pipeline_reaches_the_limit():
+    """The Moebius pipeline's values against a reference that shares no
+    code with the corrections.
+
+    Stage n of a tag's coordinate, S(n), lies about c/n from the limit, so
+    2 S(4096) - S(2048) cancels that term.  Recomposed stages that stop at
+    n = 4099 are 2.4-3.2e-4 off.  Tag b has no correction, and its value
+    is psi_b's to the bit.
+    """
+    F = make_skew_germ("z/(1+z)", "w - w^2 + w^3", order=12)
+    cfg = ConvergenceConfig(tol=1e-7)
+    pipe = build_general_pipeline(F, 4, cfg)
+    G = pipe.germ
+
+    def points(tag):
+        u, v = region_points(pipe.regions[tag], 3, 1)
+        return [Point2(complex(a), complex(b), INFINITY) for a, b in zip(u, v)]
+
+    for tag in "ioa":
+        for p in points(tag):
+            fv = general_fatou(pipe, tag, p, cfg)
+            ref = (2 * _finite_stage(G.evaluate, p, 4096, tag).w
+                   - _finite_stage(G.evaluate, p, 2048, tag).w)
+            assert fv.verdict == CONVERGED
+            assert abs(fv.value[1] - ref) < 1e-5, (tag, p)
+    run_cfg = replace(cfg, radius=pipe.radius)
+    for p in points("b"):
+        assert general_fatou(pipe, "b", p, cfg) == psi_b(G, p, run_cfg)
 
 
 def test_mixed_shear_parameters(pipe_mixed):
