@@ -11,6 +11,7 @@ scalars print as the Python numbers they equal.  The calls:
   1e-8 and at n_max 2, at sampled region points and at failure starts,
   and at tol 1e-8 at starts whose base lies outside the tag's base sector
   while the fiber lies inside its own, with integer and complex bases;
+  the tag's public special engine runs at those starts too;
 - tag i on ``maps/mixed_cubic.map`` at tol 5e-7, at sampled points and
   their images, and tags o, a, b there at n_max 600 and 2;
 - the four special engines on the Moebius germ upstairs, at the default
@@ -124,14 +125,19 @@ def main(argv) -> int:
                        lambda: general_fatou(mobius, tag, p, cfg))
 
     # only a check of the base stops these orbits: the base starts
-    # outside the tag's base sector, the fiber inside its own
+    # outside the tag's base sector, the fiber inside its own; the tag's
+    # public special engine on the same germ must stop alike
     outside = {"i": (-50, 50 + 2j), "o": (50, -50 + 2j),
                "a": (50, 50 + 1j), "b": (-50, -50 + 1j)}
+    public = {"i": incoming_2d_special, "o": outgoing_2d_special,
+              "a": psi_a, "b": psi_b}
     for tag, (z, w) in outside.items():
         for p in (Point2(z, w, INFINITY),
                   Point2(complex(z), w, INFINITY)):
             record(f"mobius {tag} base outside {p.z!r},{p.w!r}",
                    lambda: general_fatou(mobius, tag, p, fine))
+            record(f"special {tag} base outside {p.z!r},{p.w!r}",
+                   lambda: public[tag](mobius.germ, p, fine))
 
     # mixed cubic: tag i with images, the recomposed tags capped
     coarse = ConvergenceConfig(tol=5e-7)

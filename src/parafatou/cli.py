@@ -72,7 +72,6 @@ class RunConfig:
     map_path: str
     M: int = 4
     epsilon: float = 0.05
-    radius: float | None = None
     tol: float = 1e-8
     n_max: int = 10**6
     grid: int = 256
@@ -91,10 +90,7 @@ class RunConfig:
 
 
 def _engine_cfg(cfg: RunConfig) -> ConvergenceConfig:
-    base = ConvergenceConfig(tol=cfg.tol, n_max=cfg.n_max)
-    if cfg.radius is not None:
-        base = replace(base, radius=cfg.radius)
-    return base
+    return ConvergenceConfig(tol=cfg.tol, n_max=cfg.n_max)
 
 
 def _load_map(cfg: RunConfig):
@@ -128,7 +124,6 @@ def _header(cfg: RunConfig, command: str) -> list[str]:
     return [
         f"# parafatou {command}",
         f"# map={cfg.map_path} M={cfg.M} epsilon={_g17(cfg.epsilon)}"
-        f" radius={'auto' if cfg.radius is None else _g17(cfg.radius)}"
         f" tol={_g17(cfg.tol)} n_max={cfg.n_max}",
         f"# grid={cfg.grid} theta1={_g17(cfg.theta1)}"
         f" theta2={_g17(cfg.theta2)} seed={cfg.seed}",
@@ -153,7 +148,7 @@ def cmd_normalize(cfg: RunConfig) -> str:
             f"base at infinity: u + 1 + alpha/u + ..., "
             f"alpha_base={_c17(pipe.alpha_rho)} (straightened numerically)")
 
-    ginf = fiber_limit_map(pipe.germ)
+    ginf = pipe.fiber_limit or fiber_limit_map(pipe.germ)
     alpha_fiber = 1 - ginf.jet.coeff(1)
     tail = " ".join(
         f"c{k}={_c17(ginf.jet.coeff(k))}"
@@ -590,8 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order-M", type=int, default=4, dest="M",
                        help="vanishing order for the cusp domain (2..10)")
         p.add_argument("--epsilon", type=float, default=0.05)
-        p.add_argument("--radius", type=float, default=None,
-                       help="override the engine sector radius")
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--n-max", type=int, default=10**6, dest="n_max")
         p.add_argument("--grid", type=int, default=256,
@@ -615,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from(args) -> RunConfig:
     return RunConfig(
         map_path=args.map, M=args.M, epsilon=args.epsilon,
-        radius=args.radius, tol=args.tol, n_max=args.n_max,
+        tol=args.tol, n_max=args.n_max,
         grid=args.grid, theta1=args.theta1, theta2=args.theta2,
         seed=args.seed, out=args.out)
 

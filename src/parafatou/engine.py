@@ -28,10 +28,11 @@ translation base, no log shear, fiber limit v + 1 + O(1/v^2)), the
 general pipeline runs the special engines' corrected limits,
 `_special_fatou`: they subtract the fiber limit's tail and converge in a
 few steps, where the uncorrected recomposed stages stop about 1/n short
-of the limit.  The pipeline decides this once, when it is built, and the
-limits then check every base point of an orbit in its sector, as the
-recomposed stages do.  Log-sheared pipelines, or ones whose base needs
-straightening, recompose every stage anew.
+of the limit.  The pipeline decides this once, when it is built, by the
+test the public special engines run, and the limits check every base
+point of an orbit in its sector, as the recomposed stages do.
+Log-sheared pipelines, or ones whose base needs straightening, recompose
+every stage anew.
 
 Each engine decision is written once.  `_STAGES` holds each region's
 stage formula, the pair of translations around F^n; the finite stages,
@@ -43,9 +44,8 @@ coordinates and the fiber limits the outgoing ones invert);
 `_incoming_inverse` is the one inverse of the incoming coordinate, behind
 psi's forward map, `outgoing_1d` and `verify.duality_check`.  `_orbit`
 and `_fiber_orbit` walk a recomposed stage and raise `_Escaped` where an
-iterate leaves its sector; `_special_fiber_limit` tests the special form,
-for `_require_special`, which gates the public special engines, and for
-the pipeline.
+iterate leaves its sector.  `_special_form` is the one test of the
+special form, for the public special engines and for the pipeline.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ from .errors import (
     NonFiniteValue,
     WrongForm,
 )
-from .expressions import as_rational_poly2, poly_eq
 from .germs import (
     Germ1D,
     Point2,
     SkewGerm2D,
+    _is_exact_translation,
     fiber_limit_map,
     newton,
     to_infinity,
@@ -302,21 +302,6 @@ def _translation_jet(jet: TruncatedSeries1) -> bool:
     return all(jet.coeff(k) == 0 for k in range(1, jet.order + 1))
 
 
-def _poly_mul2(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (j1, k1), c1 in a.items():
-        for (j2, k2), c2 in b.items():
-            key = (j1 + j2, k1 + k2)
-            out[key] = out.get(key, 0j) + c1 * c2
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _fiber_translation(G: SkewGerm2D) -> bool:
-    """True when the fiber map is exactly v -> v + 1 as a rational map."""
-    num, den = as_rational_poly2(G.fiber_expr)
-    return poly_eq(num, _poly_mul2(den, {(0, 1): 1.0, (0, 0): 1.0}))
-
-
 def eta_point(p: Point2) -> Point2:
     """The sign involution (u, v) -> (-u, -v)."""
     return Point2(-p.z, -p.w, p.chart)
@@ -423,19 +408,16 @@ def _orbit(G: SkewGerm2D, q: Point2, n: int, cfg: ConvergenceConfig,
 
 
 def _fiber_orbit(G: SkewGerm2D, t0, w, n: int, cfg: ConvergenceConfig,
-                 center: float, base_center: float | None = None):
+                 center: float, base_center: float):
     """n fiber steps from w over the base points t0, t0 + 1, ...
 
-    Each fiber iterate is checked in the sector of center.  With
-    base_center, the base points reached, t0 + 1, ..., t0 + n, are checked
-    in that sector too, all at once before the walk; the walk then stops
-    at the first one outside it.
+    Each fiber iterate is checked in the sector of center.  The base points
+    reached, t0 + 1, ..., t0 + n, are checked in the sector of base_center,
+    all at once before the walk; the walk then stops at the first one
+    outside it.
     """
-    steps = n
-    if base_center is not None:
-        out = _outside_sector(t0 + np.arange(1, n + 1), cfg, base_center)
-        if out.any():
-            steps = int(out.argmax()) + 1
+    out = _outside_sector(t0 + np.arange(1, n + 1), cfg, base_center)
+    steps = int(out.argmax()) + 1 if out.any() else n
     for k in range(steps):
         w = G.fiber(t0 + k, w)
         if _outside_sector(w, cfg, center):
@@ -624,11 +606,25 @@ def psi_b_finite(G, p: Point2, n: int) -> Point2:
 # ------------------------------------------------------------ two variables
 
 
-def _special_fiber_limit(G: SkewGerm2D) -> Germ1D:
-    """G's fiber limit, which the special form needs to be v + 1 + O(1/v^2).
+def _special_form(G: SkewGerm2D) -> Germ1D | None:
+    """The one test of the special form; returns G's fiber limit.
 
-    Raises WrongForm otherwise.
+    The special form is an exact unit translation base, no log shear
+    (alpha = beta = 0) and a fiber limit v + 1 + O(1/v^2); on it every
+    region's coordinate is a limit of the fiber alone.  None means G is the
+    unit translation in both coordinates, on which every coordinate is the
+    identity.  Raises WrongForm otherwise, and ChartMismatch off the
+    infinity chart.  The tests run cheapest first.
     """
+    if G.chart != INFINITY:
+        raise ChartMismatch("special-form engines run at infinity")
+    if not _translation_jet(G.first.jet):
+        raise WrongForm("first coordinate must be the exact unit translation")
+    if _is_exact_translation(G.fiber_expr, "w"):
+        return None
+    params = solve_log_shear(G)
+    if params.alpha != 0 or params.beta != 0:
+        raise WrongForm("fiber carries a log shear; conjugate by it first")
     ginf = fiber_limit_map(G)
     if abs(ginf.jet.coeff(0) - 1) > 1e-9:
         raise WrongForm("fiber limit must translate by exactly 1")
@@ -638,56 +634,31 @@ def _special_fiber_limit(G: SkewGerm2D) -> Germ1D:
     return ginf
 
 
-def _require_special(G: SkewGerm2D, p: Point2) -> Germ1D | None:
-    """Validate the translation-base skew form; return the fiber limit.
-
-    None means G is the unit translation in both coordinates, on which
-    every special coordinate is the identity.
-    """
-    if p.chart != G.chart:
-        raise ChartMismatch("point and germ chart differ")
-    if _translation_jet(G.first.jet) and _fiber_translation(G):
-        return None
-    if G.chart != INFINITY:
-        raise ChartMismatch("special-form engines run at infinity")
-    if not _translation_jet(G.first.jet):
-        raise WrongForm("first coordinate must be the exact unit translation")
-    ginf = _special_fiber_limit(G)
-    if G.jet2 is not None:
-        params = solve_log_shear(G)
-        if abs(params.alpha) > 1e-9:
-            raise WrongForm(
-                "fiber carries a 1/u tail; conjugate by the log shear first")
-    return ginf
-
-
 def _special_fatou(G: SkewGerm2D, ginf: Germ1D, tag: str, p: Point2,
-                   cfg: ConvergenceConfig,
-                   base_guard: bool = False) -> FatouValue:
+                   cfg: ConvergenceConfig) -> FatouValue:
     """Region tag's coordinate of a special-form G with fiber limit ginf.
 
     The corrected limits behind the special engines and, for pipelines of
     that form, `general_fatou`.  The base is the unit translation, so u
-    telescopes exactly and only the fiber is iterated.  base_guard also
-    checks the base points of every orbit in the region's base sector, as
-    the general pipeline's orbit walks do.
+    telescopes exactly and only the fiber is iterated; every base point of
+    an orbit is checked in the region's base sector, as the general
+    pipeline's orbit walks check it.
     """
     if tag == "i":
         cu, cv = _centers(tag)
         cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
         fv = _corrected_fiber_limit(G.fiber, p.z, p.w, cors, cfg,
-                                    BranchedLog(cv),
-                                    cu if base_guard else None)
+                                    BranchedLog(cv), cu)
     elif tag == "o":
-        fv = _special_outgoing(G, ginf, p, cfg, base_guard)
+        fv = _special_outgoing(G, ginf, p, cfg)
     else:
-        fv = _special_mixed(G, ginf, p, cfg, tag, base_guard)
+        fv = _special_mixed(G, ginf, p, cfg, tag)
     return FatouValue((p.z, fv.value), fv.iterations, fv.last_delta,
                       fv.verdict)
 
 
 def _special_outgoing(G: SkewGerm2D, ginf: Germ1D, p: Point2,
-                      cfg: ConvergenceConfig, base_guard: bool) -> FatouValue:
+                      cfg: ConvergenceConfig) -> FatouValue:
     """The outgoing fiber value, through the dual incoming limit.
 
     The dual skew product has fiber steps -g^{-1}_{-t-1}(-y) over the base
@@ -703,14 +674,13 @@ def _special_outgoing(G: SkewGerm2D, ginf: Germ1D, p: Point2,
 
     fv = _invert_limit(
         lambda y: _corrected_fiber_limit(h_fiber, -p.z, y, cors, cfg, log,
-                                         cu if base_guard else None),
+                                         cu),
         cors, -p.w)
     return replace(fv, value=-fv.value)
 
 
 def _special_mixed(G: SkewGerm2D, ginf: Germ1D, p: Point2,
-                   cfg: ConvergenceConfig, tag: str,
-                   base_guard: bool) -> FatouValue:
+                   cfg: ConvergenceConfig, tag: str) -> FatouValue:
     """Recomposed fiber stages of a mixed tag.
 
     Stage n runs only the fiber.  A nonzero end fiber offset ends the
@@ -728,7 +698,7 @@ def _special_mixed(G: SkewGerm2D, ginf: Germ1D, p: Point2,
 
     def stage(n):
         w = _fiber_orbit(G, _moved(u0, su * n), _moved(v0, sv * n), n, cfg,
-                         cv, cu if base_guard else None)
+                         cv, cu)
         return _moved(cors.phi(w, log), ev * n) if ev else w
 
     return _checkpoint_limit(stage, cfg)
@@ -736,8 +706,10 @@ def _special_mixed(G: SkewGerm2D, ginf: Germ1D, p: Point2,
 
 def _checked_special(G: SkewGerm2D, p: Point2, cfg: ConvergenceConfig,
                      tag: str) -> FatouValue:
-    """A special engine: validate G's form, then take the tag's limit."""
-    ginf = _require_special(G, p)
+    """A special engine: test G's form, then take the tag's limit."""
+    if p.chart != G.chart:
+        raise ChartMismatch("point and germ chart differ")
+    ginf = _special_form(G)
     if ginf is None:
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
     return _special_fatou(G, ginf, tag, p, cfg or DEFAULT_CONFIG)
@@ -845,9 +817,11 @@ class GeneralConjugacy:
     region's model coordinates into the infinity chart of the transported
     germ.  origin_chain continues back to the original input coordinates.
 
-    fiber_limit is set when the transported germ has the special form: a
-    trivial psi1 (the base is the exact unit translation), alpha = beta = 0
-    (no shear) and a fiber limit v + 1 + O(1/v^2).  Then every region's
+    fiber_limit is set when `_special_form` finds the transported germ in
+    the special form: the base is the exact unit translation (psi1 is
+    trivial), alpha = beta = 0 (no shear) and the fiber limit is
+    v + 1 + O(1/v^2); trivial is set when it finds the exact unit
+    translation in both coordinates.  On the special form every region's
     coordinate is a limit of the fiber alone, and `general_fatou` runs the
     special engines' corrected limits on it, which subtract the fiber
     limit's jet-derived tail and so reach the limit itself in a few steps;
@@ -889,14 +863,11 @@ def build_general_pipeline(F: SkewGerm2D, M: int = DEFAULT_M,
     shears = {tag: LogShear(params.alpha, params.beta,
                             *map(BranchedLog, _centers(tag)))
               for tag in _STAGES}
-    unsheared = psi1.trivial and params.alpha == 0 and params.beta == 0
-    trivial = unsheared and _fiber_translation(G)
-    fiber_limit = None
-    if unsheared and not trivial:
-        try:
-            fiber_limit = _special_fiber_limit(G)
-        except WrongForm:
-            pass
+    try:
+        fiber_limit = _special_form(G)
+        trivial = fiber_limit is None
+    except WrongForm:
+        fiber_limit, trivial = None, False
     return GeneralConjugacy(
         M=M, psi1=psi1, psi2=psi2,
         theta=params,
@@ -1003,7 +974,7 @@ def conjugated_fiber_limit(pipe, tag):
     alpha = pipe.theta.alpha
     beta = pipe.theta.beta
     if alpha == 0:
-        ginf = fiber_limit_map(pipe.germ)
+        ginf = pipe.fiber_limit or fiber_limit_map(pipe.germ)
         inner = lambda big: ginf(big)
     else:
         inner = lambda big: big + 1
@@ -1039,8 +1010,7 @@ def general_fatou(pipe: GeneralConjugacy, tag: str, p: Point2,
     if pipe.trivial:
         return FatouValue((p.z, p.w), 1, 0.0, CONVERGED)
     if pipe.fiber_limit is not None:
-        return _special_fatou(pipe.germ, pipe.fiber_limit, tag, p, cfg,
-                              base_guard=True)
+        return _special_fatou(pipe.germ, pipe.fiber_limit, tag, p, cfg)
     if tag == "i":
         return _general_incoming(pipe, p, cfg)
     return _general_recomposed(pipe, tag, p, cfg)

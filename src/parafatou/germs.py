@@ -52,7 +52,6 @@ from .series import (
     TruncatedSeries1,
     TruncatedSeries2,
     infinity_chart1,
-    origin_chart1,
 )
 
 _CHECK_ANGLES = (0.37, 1.91, 3.43, 5.08)
@@ -340,18 +339,15 @@ def make_skew_germ(lam, fiber, order: int, check: bool = True) -> SkewGerm2D:
     return SkewGerm2D(first, fib_e, jet2, chart=ORIGIN, check=check)
 
 
-def _is_exact_translation(expr: Expr) -> bool:
+def _is_exact_translation(expr: Expr, var: str) -> bool:
+    """Whether expr is var + 1 as a rational map in z and w."""
     p, q = as_rational_poly2(expr)
-    shift = {}
+    dj, dk = (1, 0) if var == "z" else (0, 1)
+    shifted = dict(q)
     for (j, k), c in q.items():
-        for (dj, dc) in ((1, c), (0, c)):
-            key = (j + dj, k)
-            s = shift.get(key, 0j) + dc
-            if s == 0:
-                shift.pop(key, None)
-            else:
-                shift[key] = s
-    return poly_eq(p, shift, tol=1e-14)
+        key = (j + dj, k + dk)
+        shifted[key] = shifted.get(key, 0j) + c
+    return poly_eq(p, shifted, tol=1e-14)
 
 
 def to_infinity(germ: SkewGerm2D) -> SkewGerm2D:
@@ -371,7 +367,7 @@ def to_infinity(germ: SkewGerm2D) -> SkewGerm2D:
     base_e = fold_deep(
         inv / subst(germ.first.expr, {"z": inv / Z}))
     base_jet = infinity_chart1(germ.first.jet)
-    if _is_exact_translation(base_e):
+    if _is_exact_translation(base_e, "z"):
         # The transported base is u + 1 on the nose; keep the jet exact
         # so downstream consumers can recognize that and iterate exactly.
         base_e = fold_deep(Z + Const(1))
@@ -381,31 +377,6 @@ def to_infinity(germ: SkewGerm2D) -> SkewGerm2D:
     fib_e = fold_deep(
         inv / subst(germ.fiber_expr, {"z": inv / Z, "w": inv / Var("w")}))
     return SkewGerm2D(base, fib_e, germ.jet2, chart=INFINITY, check=False)
-
-
-def to_origin(germ: SkewGerm2D) -> SkewGerm2D:
-    """Transport an infinity-chart skew product back to the origin chart.
-
-    Inverse of to_infinity: conjugating by the reciprocal chart twice is the
-    identity, and the round trip recovers the original evaluator.
-    """
-    if germ.chart != INFINITY:
-        raise ChartMismatch("already at the origin")
-    base_e = reciprocal_transport(germ.first.expr, "z")
-    base_jet = origin_chart1(germ.first.jet)
-    base = Germ1D(base_jet, expr=base_e, chart=ORIGIN, check=True)
-
-    body = subst(germ.fiber_expr,
-                 {"z": Const(1) / Z, "w": Const(1) / Var("w")})
-    p, q = as_rational_poly2(body)
-    if not p:
-        raise WrongForm("reciprocal of the zero map")
-    p, q = _strip_common_powers(p, q)
-    fib_e = fold_deep(poly2_to_expr(q) / poly2_to_expr(p))
-    jet2 = germ.jet2
-    if jet2 is None:
-        jet2 = to_series2(fib_e, base_jet.order)
-    return SkewGerm2D(base, fib_e, jet2, chart=ORIGIN, check=True)
 
 
 def fiber_limit_map(germ: SkewGerm2D, order: int | None = None) -> Germ1D:

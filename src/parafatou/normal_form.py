@@ -165,23 +165,6 @@ class Inversion:
         return "inversion"
 
 
-@dataclass(frozen=True)
-class Translation:
-    """(u, v) -> (u + a, v + b)."""
-
-    a: complex
-    b: complex
-
-    def forward(self, p: Point2) -> Point2:
-        return Point2(p.z + self.a, p.w + self.b, p.chart)
-
-    def inverse(self, p: Point2) -> Point2:
-        return Point2(p.z - self.a, p.w - self.b, p.chart)
-
-    def describe(self) -> str:
-        return f"translate({self.a}, {self.b})"
-
-
 def invert_log_shift(target, alpha, log, guess):
     """Solve x + alpha log(x) = target by `newton` from guess.
 

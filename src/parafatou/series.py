@@ -247,14 +247,13 @@ def origin_chart1(g: TruncatedSeries1) -> TruncatedSeries1:
 
 
 def conjugate_by_neg1(a: TruncatedSeries1) -> TruncatedSeries1:
-    """Jet of -a(-z) (origin) or -g(-w) with the implicit w kept (infinity)."""
-    if a.chart == ORIGIN:
-        return TruncatedSeries1(
-            [-c if k % 2 == 0 else c for k, c in enumerate(a.coeffs)], ORIGIN
-        )
-    # -(g(-w)) = -(-w + c0 + c1/(-w) + ...) = w - c0 + c1/w - c2/w^2 + ...
+    """Jet of -a(-z) (origin) or -g(-w) with the implicit w kept (infinity).
+
+    Both charts flip the sign of the even-index coefficients: at infinity
+    -(g(-w)) = -(-w + c0 + c1/(-w) + ...) = w - c0 + c1/w - c2/w^2 + ...
+    """
     return TruncatedSeries1(
-        [-c if k % 2 == 0 else c for k, c in enumerate(a.coeffs)], INFINITY
+        [-c if k % 2 == 0 else c for k, c in enumerate(a.coeffs)], a.chart
     )
 
 
@@ -325,19 +324,6 @@ class TruncatedSeries2:
         if which == "w":
             return cls.from_terms(order, {(0, 1): 1.0})
         raise ValueError(f"unknown variable {which!r}")
-
-    @classmethod
-    def from_series1(
-        cls, s: TruncatedSeries1, order: int, which: str = "z"
-    ) -> "TruncatedSeries2":
-        if s.chart != ORIGIN:
-            raise ChartMismatch("only origin-chart series embed into two variables")
-        terms = {}
-        for k, c in enumerate(s.coeffs):
-            if k > order:
-                break
-            terms[(k, 0) if which == "z" else (0, k)] = c
-        return cls.from_terms(order, terms)
 
     def coeff(self, j: int, k: int) -> complex:
         if 0 <= j <= self.order and 0 <= k <= self.order - j:

@@ -261,8 +261,9 @@ INF = float("inf")
     ("incoming", (50, 6 + 2j), SHORT,
      (50, 5.827614024283095 + 2.068697323766725j), 2, 4.833250019217744e-08,
      MAX_ITER),
-    ("psi_a", (50, 6 + 2j), SHORT,
-     (50, 5.827614024283095 + 2.068697323766725j), 2,
+    # psi_a starts at base -50, inside region a's base sector
+    ("psi_a", (-50, 6 + 2j), SHORT,
+     (-50, 5.827614024283095 + 2.068697323766725j), 2,
      4.833250019217744e-08, MAX_ITER),
     # the Moebius pipeline runs the special engines' corrected limits
     ("i", (50, 6 + 2j), SHORT,
@@ -277,8 +278,8 @@ INF = float("inf")
     ("incoming", (50, -3 + 5j), CFG,
      (50, -2.902579150716373 + 5.121882206927912j), 3, 2.194620060434768e-06,
      ESCAPED),
-    ("psi_a", (50, -3 + 5j), CFG,
-     (50, 0.059720301259157574 + 4.92629307639114j), 3, INF, ESCAPED),
+    ("psi_a", (-50, -3 + 5j), CFG,
+     (-50, 0.059720301259157574 + 4.92629307639114j), 3, INF, ESCAPED),
     ("i", (50, -3 + 5j), CFG,
      (50, -2.902579150716373 + 5.121882206927912j), 3, 2.194620060434768e-06,
      ESCAPED),
@@ -318,16 +319,23 @@ def test_failure_verdicts(G, pipe_mobius, pipe_curved, engine, start, cfg,
     assert fv.last_delta == pytest.approx(delta, rel=1e-6)
 
 
+PUBLIC_ENGINES = {"i": incoming_2d_special, "o": outgoing_2d_special,
+                  "a": psi_a, "b": psi_b}
+
+
 @pytest.mark.parametrize("tag, start", [
     ("i", (-50, 50 + 2j)), ("o", (50, -50 + 2j)),
     ("a", (50, 50 + 1j)), ("b", (-50, -50 + 1j)),
 ])
 def test_pipeline_checks_the_base(pipe_mobius, tag, start):
     """The fiber starts inside its sector and the base outside its own:
-    the special limits the Moebius pipeline runs stop at the base."""
-    fv = general_fatou(pipe_mobius, tag, Point2(*start, INFINITY), CFG)
+    the special limits stop at the base, whether the Moebius pipeline or
+    the tag's public engine reaches them."""
+    p = Point2(*start, INFINITY)
+    fv = general_fatou(pipe_mobius, tag, p, CFG)
     assert fv.verdict == ESCAPED
     assert fv.iterations <= 1
+    assert PUBLIC_ENGINES[tag](pipe_mobius.germ, p, CFG) == fv
 
 
 @pytest.mark.parametrize("n_max", range(1, 13))

@@ -26,7 +26,6 @@ from parafatou.germs import (
     newton,
     reciprocal_transport,
     to_infinity,
-    to_origin,
 )
 from parafatou.series import INFINITY, ORIGIN
 
@@ -169,20 +168,6 @@ def test_to_infinity_round_trip_pointwise():
     direct = F.evaluate(p)
     assert abs(1 / q.z - direct.z) < 1e-12
     assert abs(1 / q.w - direct.w) < 1e-12
-
-
-def test_chart_transport_involution():
-    F = make_skew_germ("z - z^2", "w - w^2 + z^2*w^2", 10)
-    F2 = to_origin(to_infinity(F))
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        p = Point2(
-            (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.04,
-            (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 0.04,
-        )
-        a = F.evaluate(p)
-        b = F2.evaluate(p)
-        assert abs(a.z - b.z) < 1e-10 and abs(a.w - b.w) < 1e-10
 
 
 def test_reciprocal_transport_involution():

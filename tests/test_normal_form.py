@@ -27,7 +27,6 @@ from parafatou.normal_form import (
     LogShear,
     Scaling,
     Shear,
-    Translation,
     compose_chains,
     extract_alpha,
     normalize_quadratic,
@@ -127,7 +126,8 @@ def test_raise_order_substitute2_oracle():
     F2, chain = raise_order(F, M=4)
     n = F.jet2.order
     zs = TruncatedSeries2.variable(n, "z")
-    lam2 = TruncatedSeries2.from_series1(F.first.jet, n, "z")
+    lam2 = TruncatedSeries2.from_terms(
+        n, {(k, 0): c for k, c in enumerate(F.first.jet.coeffs)})
     jet = F.jet2
     for step in reversed(chain.steps):
         ws = TruncatedSeries2.variable(n, "w")
@@ -286,7 +286,6 @@ def test_step_round_trips():
         (Shear(0.5 - 0.2j, 3), origin_p),
         (FiberScale(0.4 + 0.1j, 2), origin_p),
         (Inversion(), origin_p),
-        (Translation(1 + 1j, -2), inf_p),
         (LogShear(0.3, -0.2 + 0.05j), inf_p),
     ]
     for step, p in cases:
@@ -308,14 +307,14 @@ def test_inversion_flips_chart():
 def test_chain_order_and_describe():
     c = ConjugacyChain()
     c = c.prepend(Scaling(2, 2))
-    c = c.prepend(Translation(1, 1))
-    # the translation was applied later, so it acts first on the way out
-    p = Point2(1, 1, INFINITY)
+    c = c.prepend(Shear(1, 2))
+    # the shear was applied later, so it acts first on the way out
+    p = Point2(1, 1)
     q = c.forward(p)
-    assert q.as_tuple() == (4, 4)  # scale(translate(p))
+    assert q.as_tuple() == (2, 4)  # scale(shear(p)); shear(scale(p)) is (2, 6)
     r = c.inverse(q)
     assert abs(r.z - 1) < 1e-14 and abs(r.w - 1) < 1e-14
-    assert "translate" in c.describe() and "scale" in c.describe()
+    assert "shear" in c.describe() and "scale" in c.describe()
     assert ConjugacyChain().describe() == "identity"
 
 
