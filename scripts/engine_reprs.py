@@ -12,6 +12,8 @@ scalars print as the Python numbers they equal.  The calls:
   and at tol 1e-8 at starts whose base lies outside the tag's base sector
   while the fiber lies inside its own, with integer and complex bases;
   the tag's public special engine runs at those starts too;
+- tag b at tol 1e-11 at sampled Moebius points (u, v), beside tag o at
+  (-u, v) and the distance of their fiber values;
 - tag i on ``maps/mixed_cubic.map`` at tol 5e-7, at sampled points and
   their images, and tags o, a, b there at n_max 600 and 2;
 - the four special engines on the Moebius germ upstairs, at the default
@@ -92,11 +94,15 @@ def main(argv) -> int:
     lines = []
 
     def record(label, call):
+        """Append the call's line; return its result, None if it raised."""
+        result = None
         try:
-            shown = _show(call())
+            result = call()
+            shown = _show(result)
         except Exception as err:  # every failure is part of the record
             shown = f"error {type(err).__name__}: {err}"
         lines.append(f"{label}: {shown}")
+        return result
 
     def pipeline(name, cfg):
         exprs = parse_map_file(
@@ -123,6 +129,20 @@ def main(argv) -> int:
             for k, p in enumerate(points):
                 record(f"mobius {tag} {cname} #{k} {p.z!r},{p.w!r}",
                        lambda: general_fatou(mobius, tag, p, cfg))
+
+    # tag b at (u, v) beside tag o at (-u, v), and their distance: the
+    # Moebius fiber maps do not depend on the base, so both invert the
+    # same fiber limit and must agree to about the tolerance
+    tight = ConvergenceConfig(tol=1e-11)
+    for k, p in enumerate(sampled(mobius, "b", 8, 7)):
+        q = Point2(-p.z, p.w, INFINITY)
+        fb = record(f"mobius b tol1e-11 #{k} {p.z!r},{p.w!r}",
+                    lambda: general_fatou(mobius, "b", p, tight))
+        fo = record(f"mobius o tol1e-11 #{k} {q.z!r},{q.w!r}",
+                    lambda: general_fatou(mobius, "o", q, tight))
+        if fb is not None and fo is not None:
+            record(f"mobius |b - o| tol1e-11 #{k}",
+                   lambda: abs(fb.value[1] - fo.value[1]))
 
     # only a check of the base stops these orbits: the base starts
     # outside the tag's base sector, the fiber inside its own; the tag's

@@ -2,6 +2,7 @@
 
 import pytest
 
+from parafatou import engine
 from parafatou.engine import (
     CONVERGED,
     ESCAPED,
@@ -10,6 +11,8 @@ from parafatou.engine import (
     Corrections,
     FatouValue,
     _checkpoint_limit,
+    _Escaped,
+    _fiber_orbit,
     _invert_limit,
     build_general_pipeline,
     dual_step,
@@ -24,7 +27,7 @@ from parafatou.engine import (
     psi_b,
     psi_b_finite,
 )
-from parafatou.errors import WrongForm
+from parafatou.errors import NewtonDiverged, WrongForm
 from parafatou.germs import (
     INFINITY,
     Point2,
@@ -354,3 +357,26 @@ def test_checkpoint_limit_respects_n_max(n_max):
     assert fv.value == 1.0 / seen[-1]
     if n_max == 11:
         assert seen == [8, 9, 10, 11]
+
+
+def test_fiber_orbit_checks_the_last_base_point(pipe_mobius):
+    """The one base point of this walk, -48, lies outside the sector of
+    center 0, so the walk stops there although the fiber stays inside."""
+    cfg = ConvergenceConfig(radius=pipe_mobius.radius)
+    with pytest.raises(_Escaped) as esc:
+        _fiber_orbit(pipe_mobius.germ, -49, 20 + 1j, 1, cfg, 0.0, 0.0)
+    assert esc.value.steps == 1
+
+
+def test_failed_start_solve_escapes(G, pipe_mobius, monkeypatch):
+    """A start of tag b that Newton cannot invert ends the limit escaped,
+    from the public engine and from the pipeline alike."""
+    def diverged(f, df, target, guess, tol):
+        raise NewtonDiverged("planted", last_value=guess, reason="flat")
+
+    monkeypatch.setattr(engine, "newton", diverged)
+    p = Point2(60 + 2j, -60 + 1j, INFINITY)
+    fv = psi_b(G, p, CFG)
+    assert fv.verdict == ESCAPED
+    assert fv.iterations == 0
+    assert general_fatou(pipe_mobius, "b", p, CFG) == fv

@@ -81,8 +81,8 @@ def test_special_pipeline_reaches_the_limit():
 
     Stage n of a tag's coordinate, S(n), lies about c/n from the limit, so
     2 S(4096) - S(2048) cancels that term.  Recomposed stages that stop at
-    n = 4099 are 2.4-3.2e-4 off.  Tag b has no correction, and its value
-    is psi_b's to the bit.
+    n = 4099 are 2.4-3.2e-4 off.  Tag b's stages are corrected at their
+    start, and its value is psi_b's to the bit.
     """
     F = make_skew_germ("z/(1+z)", "w - w^2 + w^3", order=12)
     cfg = ConvergenceConfig(tol=1e-7)
@@ -93,7 +93,7 @@ def test_special_pipeline_reaches_the_limit():
         u, v = region_points(pipe.regions[tag], 3, 1)
         return [Point2(complex(a), complex(b), INFINITY) for a, b in zip(u, v)]
 
-    for tag in "ioa":
+    for tag in "ioab":
         for p in points(tag):
             fv = general_fatou(pipe, tag, p, cfg)
             ref = (2 * _finite_stage(G.evaluate, p, 4096, tag).w
@@ -103,6 +103,23 @@ def test_special_pipeline_reaches_the_limit():
     run_cfg = replace(cfg, radius=pipe.radius)
     for p in points("b"):
         assert general_fatou(pipe, "b", p, cfg) == psi_b(G, p, run_cfg)
+
+
+def test_special_b_matches_o():
+    """The Moebius fiber maps do not depend on the base, so tag b at
+    (u, v) and tag o at (-u, v) invert the same fiber limit: their values
+    agree, though b recomposes stages and o inverts a nested limit."""
+    F = make_skew_germ("z/(1+z)", "w - w^2 + w^3", order=12)
+    cfg = ConvergenceConfig(tol=1e-11)
+    pipe = build_general_pipeline(F, 4, cfg)
+    u, v = region_points(pipe.regions["b"], 8, 1)
+    for a, b in zip(u, v):
+        fb = general_fatou(pipe, "b", Point2(complex(a), complex(b),
+                                             INFINITY), cfg)
+        fo = general_fatou(pipe, "o", Point2(-complex(a), complex(b),
+                                             INFINITY), cfg)
+        assert fb.verdict == fo.verdict == CONVERGED
+        assert abs(fb.value[1] - fo.value[1]) < 1e-9, (a, b)
 
 
 def test_mixed_shear_parameters(pipe_mixed):
