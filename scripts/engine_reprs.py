@@ -13,7 +13,10 @@ scalars print as the Python numbers they equal.  The calls:
   while the fiber lies inside its own, with integer and complex bases;
   the tag's public special engine runs at those starts too;
 - tag b at tol 1e-11 at sampled Moebius points (u, v), beside tag o at
-  (-u, v) and the distance of their fiber values;
+  (-u, v) and the distance of o's fiber value to ``outgoing_1d`` of the
+  fiber limit at v;
+- the four tags at tol 1e-6 on a special-form germ whose fiber maps
+  depend on the base, ``z/(1+z)``, ``w - w^2 + w^3 + z^2*w^2``;
 - tag i on ``maps/mixed_cubic.map`` at tol 5e-7, at sampled points and
   their images, and tags o, a, b there at n_max 600 and 2;
 - the four special engines on the Moebius germ upstairs, at the default
@@ -130,19 +133,37 @@ def main(argv) -> int:
                 record(f"mobius {tag} {cname} #{k} {p.z!r},{p.w!r}",
                        lambda: general_fatou(mobius, tag, p, cfg))
 
-    # tag b at (u, v) beside tag o at (-u, v), and their distance: the
-    # Moebius fiber maps do not depend on the base, so both invert the
-    # same fiber limit and must agree to about the tolerance
+    # tag b at (u, v) beside tag o at (-u, v), and o's distance to the
+    # 1-D outgoing coordinate of the fiber limit, which shares no stage
+    # code with them: the Moebius fiber maps do not depend on the base,
+    # so all three must agree to about the tolerance
     tight = ConvergenceConfig(tol=1e-11)
+    ginf = mobius.fiber_limit
     for k, p in enumerate(sampled(mobius, "b", 8, 7)):
         q = Point2(-p.z, p.w, INFINITY)
-        fb = record(f"mobius b tol1e-11 #{k} {p.z!r},{p.w!r}",
-                    lambda: general_fatou(mobius, "b", p, tight))
+        record(f"mobius b tol1e-11 #{k} {p.z!r},{p.w!r}",
+               lambda: general_fatou(mobius, "b", p, tight))
         fo = record(f"mobius o tol1e-11 #{k} {q.z!r},{q.w!r}",
                     lambda: general_fatou(mobius, "o", q, tight))
-        if fb is not None and fo is not None:
-            record(f"mobius |b - o| tol1e-11 #{k}",
-                   lambda: abs(fb.value[1] - fo.value[1]))
+        ref = record(f"mobius outgoing_1d tol1e-11 #{k} {p.w!r}",
+                     lambda: outgoing_1d(ginf, ginf.jet.coeff(1), p.w,
+                                         tight))
+        if fo is not None and ref is not None:
+            record(f"mobius |o - outgoing_1d| tol1e-11 #{k}",
+                   lambda: abs(fo.value[1] - ref.value))
+
+    # a special-form germ whose fiber maps depend on the base: every tag
+    # keeps a 1/n bias there, so these rows are a baseline to diff
+    coupled_cfg = ConvergenceConfig(tol=1e-6)
+    coupled = build_general_pipeline(
+        make_skew_germ("z/(1+z)", "w - w^2 + w^3 + z^2*w^2", order=12), 4,
+        coupled_cfg)
+    coupled_starts = {"i": (40 + 3j, 40 + 5j), "o": (-40 + 3j, -40 + 5j),
+                      "a": (-40 + 3j, 40 + 5j), "b": (40 + 3j, -40 + 5j)}
+    for tag, (z, w) in coupled_starts.items():
+        p = Point2(z, w, INFINITY)
+        record(f"coupled {tag} tol1e-6 {z!r},{w!r}",
+               lambda: general_fatou(coupled, tag, p, coupled_cfg))
 
     # only a check of the base stops these orbits: the base starts
     # outside the tag's base sector, the fiber inside its own; the tag's

@@ -2,10 +2,11 @@
 
 Every quantity this module computes is the limit of an explicit sequence
 built from orbits: corrected partial sums along forward orbits for the
-incoming coordinates, inversion of those limits for the outgoing ones,
-and freshly recomposed finite-stage chains for the two mixed coordinates
-whose defining sequences do not nest.  Every inversion, of a germ, a
-fiber map, a log shear or a limit, runs the one solver `germs.newton`.
+incoming coordinates, and freshly recomposed finite-stage chains for the
+outgoing and the two mixed ones, whose defining sequences do not nest.
+The one-variable outgoing coordinate inverts the dual germ's incoming
+limit instead.  Every inversion, of a germ, a fiber map, a log shear or
+a limit, runs the one solver `germs.newton`.
 
 The workhorse is an asymptotic correction: for a one-variable germ
 g(w) = w + 1 + a1/w + ... the partial sums of the defining limit decay
@@ -26,24 +27,25 @@ iterated at all.
 When the transported germ already has the special form (exact unit
 translation base, no log shear, fiber limit v + 1 + O(1/v^2)), the
 general pipeline runs the special engines' corrected limits,
-`_special_fatou`: they read each end of a stage that lies out at
-infinity in the fiber in the fiber limit's corrected coordinate, so they
-converge in a few steps, where the uncorrected recomposed stages stop
-about 1/n short of the limit.  With Phi the fiber limit's phi_K, tag b
-starts stage n at Phi^-1(v - n) and tag a ends it at Phi(w) - n, where
-`_STAGES` places their nonzero fiber offsets.  The pipeline decides the
-form once, when it is built, by the test the public special engines run,
-and the limits check every base point of an orbit in its sector, as the
-recomposed stages do.
+`_special_fatou`: tag i's nested limit, and one stage method for tags
+o, a and b, `_special_stages`.  Both read each end of a stage that lies
+out at infinity in the fiber in the fiber limit's corrected coordinate,
+so they converge in a few steps, where the uncorrected recomposed stages
+stop about 1/n short of the limit.  With Phi the fiber limit's phi_K,
+tags o and b start stage n at Phi^-1(v - n) and tag a ends it at
+Phi(w) - n, where `_STAGES` places their nonzero fiber offsets.  The
+pipeline decides the form once, when it is built, by the test the public
+special engines run, and the limits check every base point of an orbit
+in its sector, as the recomposed stages do.
 Log-sheared pipelines, or ones whose base needs straightening, recompose
 every stage anew.
 
 Each engine decision is written once.  `_STAGES` holds each region's
 stage formula, the pair of translations around F^n; the finite stages,
-the special psi_a/psi_b and the general pipeline all read it, and the
+the special stages and the general pipeline all read it, and the
 sector centers come from `regions.TAG_SIGNS`.  `_nested_limit` holds the
 stopping rule of every limit along one forward orbit (the incoming
-coordinates and the fiber limits the outgoing ones invert);
+coordinates, whose one-variable inverse is the outgoing one);
 `_checkpoint_limit` holds it for the recomposed stages.
 `_incoming_inverse` is the one inverse of the incoming coordinate, behind
 psi's forward map, `outgoing_1d` and `verify.duality_check`.  `_orbit`
@@ -247,20 +249,6 @@ def abel_corrections(jet: TruncatedSeries1, alpha: complex,
     out = Corrections(alpha, tuple(coeffs))
     _correction_cache[key] = out
     return out
-
-
-def _dual_corrections(jet: TruncatedSeries1) -> Corrections:
-    """abel_corrections of the dual germ's jet, `infinity_inverse1(jet)`.
-
-    Cached beside abel_corrections' own entries: the inversion costs about
-    1 ms, several times an outgoing evaluation on the special form.
-    """
-    key = ("dual", tuple(jet.coeffs))
-    hit = _correction_cache.get(key)
-    if hit is None:
-        dual = infinity_inverse1(jet)
-        hit = _correction_cache[key] = abel_corrections(dual, dual.coeff(1))
-    return hit
 
 
 # ----------------------------------------------------------- small helpers
@@ -630,55 +618,33 @@ def _special_fatou(G: SkewGerm2D, ginf: Germ1D, tag: str, p: Point2,
     """Region tag's coordinate of a special-form G with fiber limit ginf.
 
     The corrected limits behind the special engines and, for pipelines of
-    that form, `general_fatou`.  The base is the unit translation, so u
-    telescopes exactly and only the fiber is iterated; every base point of
-    an orbit is checked in the region's base sector, as the general
-    pipeline's orbit walks check it.
+    that form, `general_fatou`: tag i's nested limit along the forward
+    orbit, and `_special_stages` for tags o, a and b.  The base is the
+    unit translation, so u telescopes exactly and only the fiber is
+    iterated; every base point of an orbit is checked in the region's base
+    sector, as the general pipeline's orbit walks check it.
     """
     if tag == "i":
         cu, cv = _centers(tag)
         cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
         fv = _corrected_fiber_limit(G.fiber, p.z, p.w, cors, cfg,
                                     BranchedLog(cv), cu)
-    elif tag == "o":
-        fv = _special_outgoing(G, ginf, p, cfg)
     else:
-        fv = _special_mixed(G, ginf, p, cfg, tag)
+        fv = _special_stages(G, ginf, p, cfg, tag)
     return FatouValue((p.z, fv.value), fv.iterations, fv.last_delta,
                       fv.verdict)
 
 
-def _special_outgoing(G: SkewGerm2D, ginf: Germ1D, p: Point2,
-                      cfg: ConvergenceConfig) -> FatouValue:
-    """The outgoing fiber value, through the dual incoming limit.
-
-    The dual skew product has fiber steps -g^{-1}_{-t-1}(-y) over the base
-    -u, which lies in the incoming sector; its incoming coordinate is
-    inverted in the fiber by Newton, and negated back.
-    """
-    cors = _dual_corrections(ginf.jet)
-    cu, cv = _centers("i")
-    log = BranchedLog(cv)
-
-    def h_fiber(t, y):
-        return -G.fiber_inverse(-t - 1, -y, complex(-y - 1))
-
-    fv = _invert_limit(
-        lambda y: _corrected_fiber_limit(h_fiber, -p.z, y, cors, cfg, log,
-                                         cu),
-        cors, -p.w)
-    return replace(fv, value=-fv.value)
-
-
-def _special_mixed(G: SkewGerm2D, ginf: Germ1D, p: Point2,
-                   cfg: ConvergenceConfig, tag: str) -> FatouValue:
-    """Recomposed fiber stages of a mixed tag, corrected at both ends.
+def _special_stages(G: SkewGerm2D, ginf: Germ1D, p: Point2,
+                    cfg: ConvergenceConfig, tag: str) -> FatouValue:
+    """Recomposed fiber stages of tags o, a and b, corrected at their ends.
 
     Stage n runs only the fiber.  Its ends that lie out at infinity in the
     fiber, those with a nonzero fiber offset in `_STAGES`, are read in the
     fiber limit's corrected coordinate Phi = cors.phi: a nonzero start
-    offset begins the fiber at Phi^-1(v + offset n), a nonzero end offset
-    ends it at Phi(w) + offset n.  Where the fiber maps equal their limit,
+    offset (o, b) begins the fiber at Phi^-1(v + offset n), a nonzero end
+    offset (a) ends it at Phi(w) + offset n, and a zero one (o) ends at the
+    fiber iterate itself.  Where the fiber maps equal their limit,
     stage n then differs from the limit only by Phi's truncation error far
     out in the fiber, so the stages converge in a few doublings instead of
     like 1/n.  A start that Newton cannot invert ends the limit as escaped
@@ -736,12 +702,11 @@ def incoming_2d_special(G: SkewGerm2D, p: Point2,
 
 def outgoing_2d_special(G: SkewGerm2D, p: Point2,
                         cfg: ConvergenceConfig = None) -> FatouValue:
-    """Outgoing limit via the sign involution of the dual incoming map.
+    """Limit of the fiber stages g_{u-1} o ... o g_{u-n} (Phi^-1(v - n)).
 
-    The dual skew product has fiber steps -g^{-1}_{-t-1}(-y); its
-    incoming coordinate is inverted in the fiber by Newton, and the two
-    sign involutions around it give the outgoing coordinate of G, which
-    then satisfies the forward diagram by construction.
+    Phi is the fiber limit's corrected coordinate, so the stages reach the
+    limit in a few doublings of n, where the plain start v - n leaves each
+    one about 1/n short; psi_b runs the same stages from base depth +n.
     """
     return _checked_special(G, p, cfg, "o")
 
@@ -832,10 +797,12 @@ class GeneralConjugacy:
     v + 1 + O(1/v^2); trivial is set when it finds the exact unit
     translation in both coordinates.  On the special form every region's
     coordinate is a limit of the fiber alone, and `general_fatou` runs the
-    special engines' corrected limits on it, which subtract the fiber
-    limit's jet-derived tail, at whichever end of a stage lies out at
-    infinity in the fiber, and so reach the limit itself in a few steps;
-    the recomposed stages stop about 1/n short of it.
+    special engines' corrected limits on it: tag i's nested limit and the
+    one stage method of tags o, a and b.  Both subtract the fiber limit's
+    jet-derived tail at whichever end of a stage lies out at infinity in
+    the fiber, and so reach the limit in a few steps where the recomposed
+    stages stop about 1/n short of it, as long as the fiber maps equal
+    their limit there; a fiber that depends on the base keeps a 1/n bias.
     """
 
     M: int

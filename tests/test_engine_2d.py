@@ -272,10 +272,11 @@ INF = float("inf")
     ("i", (50, 6 + 2j), SHORT,
      (50, 5.827614024283095 + 2.068697323766725j), 2, 4.833250019217744e-08,
      MAX_ITER),
-    # the inner limit fails at the first Newton evaluation, so the
-    # inversion returns its start, the input (ROADMAP item 6)
-    ("o", (-50, -6 + 2j), SHORT, (-50, -6 + 2j), 2, 3.922956437077432e-08,
-     MAX_ITER),
+    # tag o runs the start-corrected stages of a and b: the stage-2
+    # estimate, about 1.7e-8 from the tol 1e-10 value
+    ("o", (-50, -6 + 2j), SHORT,
+     (-50, -6.130395572219721 + 1.9640181897938638j), 2,
+     3.3274230103299934e-08, MAX_ITER),
     # the orbit leaves the sector: the nested limits keep their last
     # estimate, the recomposed ones the iterate that left, with its step
     ("incoming", (50, -3 + 5j), CFG,
@@ -286,9 +287,8 @@ INF = float("inf")
     ("i", (50, -3 + 5j), CFG,
      (50, -2.902579150716373 + 5.121882206927912j), 3, 2.194620060434768e-06,
      ESCAPED),
-    # the start-return again (ROADMAP item 6)
-    ("o", (-50, 3 - 5j), CFG, (-50, 3 - 5j), 3, 2.4846563430945715e-06,
-     ESCAPED),
+    ("o", (-50, 3 - 5j), CFG,
+     (-50, -1.0752058910616957 - 4.825456602051798j), 4, INF, ESCAPED),
     # the recomposed path: a base that needs straightening under the
     # same fiber gives the same fiber values and verdicts, uncorrected
     ("curved i", (50, 6 + 2j), SHORT,

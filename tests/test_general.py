@@ -13,13 +13,14 @@ from parafatou.engine import (
     conjugated_fiber_limit,
     general_fatou,
     incoming_2d_special,
+    outgoing_1d,
     psi_b,
 )
 from parafatou.errors import ChainDomainError, ChartMismatch
 from parafatou.germs import INFINITY, ORIGIN, Point2, make_skew_germ
 from parafatou.normal_form import Scaling
 from parafatou.sampling import region_points
-from parafatou.verify import abel_residuals
+from parafatou.verify import abel_residuals, parametrization_residuals
 
 
 @pytest.fixture(scope="module")
@@ -107,19 +108,54 @@ def test_special_pipeline_reaches_the_limit():
 
 def test_special_b_matches_o():
     """The Moebius fiber maps do not depend on the base, so tag b at
-    (u, v) and tag o at (-u, v) invert the same fiber limit: their values
-    agree, though b recomposes stages and o inverts a nested limit."""
+    (u, v) and tag o at (-u, v) walk the same fiber orbit, and both equal
+    the 1-D outgoing coordinate of the fiber limit.  That reference inverts
+    the dual germ's incoming limit and shares no stage code with them."""
     F = make_skew_germ("z/(1+z)", "w - w^2 + w^3", order=12)
     cfg = ConvergenceConfig(tol=1e-11)
     pipe = build_general_pipeline(F, 4, cfg)
+    ginf = pipe.fiber_limit
     u, v = region_points(pipe.regions["b"], 8, 1)
     for a, b in zip(u, v):
         fb = general_fatou(pipe, "b", Point2(complex(a), complex(b),
                                              INFINITY), cfg)
         fo = general_fatou(pipe, "o", Point2(-complex(a), complex(b),
                                              INFINITY), cfg)
-        assert fb.verdict == fo.verdict == CONVERGED
+        ref = outgoing_1d(ginf, ginf.jet.coeff(1), complex(b), cfg)
+        assert fb.verdict == fo.verdict == ref.verdict == CONVERGED
         assert abs(fb.value[1] - fo.value[1]) < 1e-9, (a, b)
+        assert abs(fo.value[1] - ref.value) < 1e-9, (a, b)
+        assert abs(fb.value[1] - ref.value) < 1e-9, (a, b)
+
+
+def test_outgoing_on_a_base_dependent_fiber():
+    """Tag o's diagram F(P(m)) = P(m + (1, 1)) on a special-form germ whose
+    fiber maps depend on the base: at infinity they differ from the fiber
+    limit by about -1/u^2, where the Moebius fiber maps equal it.
+
+    The stages read their ends in the fiber limit's corrected coordinate,
+    which does not see that term, so a `converged` value here still lies
+    about 6e-5 from the limit at tol 1e-8 (ROADMAP item 2).  The diagram
+    holds regardless, since both of its sides share that bias.
+    """
+    F = make_skew_germ("z/(1+z)", "w - w^2 + w^3 + z^2*w^2", order=12)
+    pipe = build_general_pipeline(F)
+    assert pipe.fiber_limit is not None
+    cfg = ConvergenceConfig(tol=1e-8)
+    u, v = region_points(pipe.regions["o"], 2, 1)
+    pts = [(-40 + 3j, -40 + 5j)] + [(complex(a), complex(b))
+                                    for a, b in zip(u, v)]
+
+    def par(m):
+        return general_fatou(pipe, "o", Point2(m[0], m[1], INFINITY), cfg)
+
+    def step(t):
+        q = pipe.germ.evaluate(Point2(t[0], t[1], INFINITY))
+        return (q.z, q.w)
+
+    rep = parametrization_residuals(par, step, (1, 1), pts, threshold=1e-6,
+                                    cfg=cfg)
+    assert rep.passed, rep.failures
 
 
 def test_mixed_shear_parameters(pipe_mixed):
