@@ -248,30 +248,37 @@ def cmd_coord(cfg: RunConfig, tag: str, points=None) -> str:
 # ------------------------------------------------------------ basin scan
 
 
-def _forward_step(lam, fib, z, w):
+def _forward_step(lam, fib, z, w, group):
+    """One step of the map: z holds one base value per group of cells,
+    w one fiber value per cell, and group each cell's index into z."""
     with np.errstate(all="ignore"):
         zn = ev(lam, {"z": z})
-        wn = ev(fib, {"z": z, "w": w})
-    ok = np.isfinite(zn) & np.isfinite(wn)
+        wn = ev(fib, {"z": z[group], "w": w})
+    ok = np.isfinite(zn)[group] & np.isfinite(wn)
     return zn, wn, ok
 
 
-def _backward_step(lam, dlam, fib, dfib, z, w):
-    """One step of the inverse map, solved coordinatewise by Newton."""
+def _backward_step(lam, dlam, fib, dfib, z, w, group):
+    """One step of the inverse map, solved coordinatewise by Newton.
+
+    As in `_forward_step`, the base is solved once per group and the
+    fiber once per cell; the returned ok is per cell.
+    """
     with np.errstate(all="ignore"):
         q = z.copy()
         for _ in range(6):
             q = q - (ev(lam, {"z": q}) - z) / ev(dlam, {"z": q})
+        qc = q[group]
         p = w.copy()
         for _ in range(6):
-            env = {"z": q, "w": p}
+            env = {"z": qc, "w": p}
             p = p - (ev(fib, env) - w) / ev(dfib, env)
         rz = np.abs(ev(lam, {"z": q}) - z)
-        rw = np.abs(ev(fib, {"z": q, "w": p}) - w)
+        rw = np.abs(ev(fib, {"z": qc, "w": p}) - w)
     scale_z = np.maximum(1.0, np.abs(z))
     scale_w = np.maximum(1.0, np.abs(w))
-    ok = (np.isfinite(q) & np.isfinite(p)
-          & (rz <= 1e-8 * scale_z) & (rw <= 1e-8 * scale_w))
+    ok_z = np.isfinite(q) & (rz <= 1e-8 * scale_z)
+    ok = ok_z[group] & np.isfinite(p) & (rw <= 1e-8 * scale_w)
     return q, p, ok
 
 
@@ -284,42 +291,64 @@ def _orbit_fate(lam, fib, z0, w0, backward: bool) -> np.ndarray:
     under a still-small base is the w-axis fate; a base blowup leaves the
     chart and carries no fate. The map and its derivatives are compiled
     once per call.
+
+    The base orbit depends on z0 alone, so the cells are grouped by the
+    bits of z0 and the base is stepped once per group with a live cell;
+    the fiber, the gates and the fates stay per cell. Elementwise numpy
+    results do not depend on an element's position or its array's
+    length, so this is bit-identical to stepping every cell. The live
+    cells are kept packed and repacked only in a step where one retires.
     """
     dlam = CompiledExpr(diff(lam, "z"))
     dfib = CompiledExpr(diff(fib, "w"))
     lam, fib = CompiledExpr(lam), CompiledExpr(fib)
-    z = z0.astype(complex).copy()
-    w = w0.astype(complex).copy()
-    fate = np.zeros(z.size, dtype=np.uint8)
-    active = np.ones(z.size, dtype=bool)
-    for _ in range(_SCAN_CAP):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        za, wa = z[idx], w[idx]
-        if backward:
-            zn, wn, ok = _backward_step(lam, dlam, fib, dfib, za, wa)
-        else:
-            zn, wn, ok = _forward_step(lam, fib, za, wa)
-        zbad = ~np.isfinite(zn) | (np.abs(zn) > _SCAN_ESCAPE) | ~ok
-        wbad = (~np.isfinite(wn) | (np.abs(wn) > _SCAN_ESCAPE)) & ~zbad
-        axis_hit = wbad & (np.abs(za) <= 0.5)
-        gone = zbad | (wbad & ~axis_hit)
-        safe = ~zbad & ~wbad
-        step = np.zeros(idx.size)
-        step[safe] = np.maximum(np.abs(zn[safe] - za[safe]),
-                                np.abs(wn[safe] - wa[safe]))
-        settled = safe & (step < _SCAN_SETTLE)
-        z[idx[safe]] = zn[safe]
-        w[idx[safe]] = wn[safe]
-        fate[idx[axis_hit]] = 2
-        fate[idx[gone]] = 3
-        active[idx[axis_hit | gone | settled]] = False
+    z0 = z0.astype(complex)
+    w0 = w0.astype(complex)
+    # grouped by their 16 bytes, so that 0.0 and -0.0 never share a group
+    _, first, group = np.unique(z0.view("V16"), return_index=True,
+                                return_inverse=True)
+    z = z0[first]
+    w = w0
+    cells = np.arange(z0.size)
+    z_end, w_end = z0.copy(), w0.copy()
+    fate = np.zeros(z0.size, dtype=np.uint8)
+    # a nan or infinite coordinate fails its `<= _SCAN_ESCAPE` test, so
+    # that test alone is the escape rule; errstate covers inf - inf
+    with np.errstate(invalid="ignore"):
+        for _ in range(_SCAN_CAP):
+            if cells.size == 0:
+                break
+            if backward:
+                zn, wn, ok = _backward_step(lam, dlam, fib, dfib, z, w,
+                                            group)
+            else:
+                zn, wn, ok = _forward_step(lam, fib, z, w, group)
+            z_kept = (np.abs(zn) <= _SCAN_ESCAPE)[group] & ok
+            w_kept = np.abs(wn) <= _SCAN_ESCAPE
+            safe = z_kept & w_kept
+            settled = (safe & (np.abs(zn - z) < _SCAN_SETTLE)[group]
+                       & (np.abs(wn - w) < _SCAN_SETTLE))
+            live = safe & ~settled
+            if live.all():
+                z, w = zn, wn
+                continue
+            axis_hit = z_kept & ~w_kept & (np.abs(z) <= 0.5)[group]
+            fate[cells[axis_hit]] = 2
+            fate[cells[~safe & ~axis_hit]] = 3
+            z_end[cells[settled]] = zn[group[settled]]
+            w_end[cells[settled]] = wn[settled]
+            cells, w = cells[live], wn[live]
+            kept, group = np.unique(group[live], return_inverse=True)
+            z = zn[kept]
+    z_end[cells] = z[group]
+    w_end[cells] = w
 
     open_cells = fate == 0
     tiny = 1e-12
-    z_in = open_cells & ((np.abs(z) < np.abs(z0)) | (np.abs(z) < tiny))
-    w_in = open_cells & ((np.abs(w) < np.abs(w0)) | (np.abs(w) < tiny))
+    z_in = open_cells & ((np.abs(z_end) < np.abs(z0))
+                         | (np.abs(z_end) < tiny))
+    w_in = open_cells & ((np.abs(w_end) < np.abs(w0))
+                         | (np.abs(w_end) < tiny))
     fate[z_in & w_in] = 1
     fate[z_in & ~w_in] = 2
     return fate
@@ -358,14 +387,15 @@ def cmd_basin_scan(cfg: RunConfig):
     labels[on_axis] = "axis"
 
     regions = make_regions(cfg.epsilon, chart=ORIGIN)
+    masks = {tag: regions[tag].mask(zz, ww) & ~on_axis
+             for tag in ("i", "o", "a", "b")}
     tag_of = np.full(zz.size, "", dtype="<U4")
-    for tag in ("i", "o", "a", "b"):
-        mask = regions[tag].mask(zz, ww) & ~on_axis
+    for tag, mask in masks.items():
         blank = tag_of == ""
         tag_of[mask & blank] = tag
     ambiguous = np.zeros(zz.size, dtype=bool)
-    for tag in ("i", "o", "a", "b"):
-        ambiguous |= regions[tag].mask(zz, ww) & ~on_axis & (tag_of != tag)
+    for tag, mask in masks.items():
+        ambiguous |= mask & (tag_of != tag)
     if ambiguous.any():
         probe = np.flatnonzero(ambiguous)
         for k in probe:

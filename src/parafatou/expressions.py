@@ -366,7 +366,12 @@ def _compile(expr: Expr):
 
 
 def diff(expr: Expr, var: str) -> Expr:
-    """Symbolic derivative with light simplification."""
+    """Symbolic derivative, every node it builds folded.
+
+    So no dead term reaches evaluation: the rules leave no `x^1`, no
+    product with 0 or 1 and no sum with 0, e.g. the derivative of
+    `w - w^2 + w^3` in w is `1 - 2*w + 3*w^2`.
+    """
     if isinstance(expr, Const):
         return ZERO
     if isinstance(expr, Var):
@@ -377,21 +382,20 @@ def diff(expr: Expr, var: str) -> Expr:
         if expr.exponent == 0:
             return ZERO
         d = diff(expr.base, var)
-        return fold(
-            BinOp(
-                "*",
-                BinOp("*", Const(expr.exponent), Pow(expr.base, expr.exponent - 1)),
-                d,
-            )
-        )
+        power = fold(Pow(expr.base, expr.exponent - 1))
+        return _mul(_mul(Const(expr.exponent), power), d)
     a, b = expr.left, expr.right
     da, db = diff(a, var), diff(b, var)
     if expr.op in "+-":
         return fold(BinOp(expr.op, da, db))
     if expr.op == "*":
-        return fold(BinOp("+", BinOp("*", da, b), BinOp("*", a, db)))
-    num = BinOp("-", BinOp("*", da, b), BinOp("*", a, db))
-    return fold(BinOp("/", num, Pow(b, 2)))
+        return fold(BinOp("+", _mul(da, b), _mul(a, db)))
+    num = fold(BinOp("-", _mul(da, b), _mul(a, db)))
+    return fold(BinOp("/", num, fold(Pow(b, 2))))
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    return fold(BinOp("*", a, b))
 
 
 def subst(expr: Expr, mapping: dict[str, Expr]) -> Expr:

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from parafatou import cli
 from parafatou.cli import (
     RunConfig,
     cmd_basin_scan,
@@ -14,6 +16,7 @@ from parafatou.cli import (
     cmd_verify,
     main,
 )
+from parafatou.expressions import CompiledExpr, diff, ev, parse_map_file
 
 MAPS = Path(__file__).resolve().parent.parent / "maps"
 MOBIUS = str(MAPS / "mobius_cubic.map")
@@ -167,6 +170,99 @@ class TestBasinScan:
         a = cmd_basin_scan(RunConfig(MOBIUS, grid=16))
         b = cmd_basin_scan(RunConfig(MOBIUS, grid=16))
         assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
+
+
+def _reference_orbit_fate(lam, fib, z0, w0, backward):
+    """The per-cell fate loop the grouped `cli._orbit_fate` replaced: every
+    active cell is gathered, stepped and scattered at every iteration."""
+    def forward_step(z, w):
+        with np.errstate(all="ignore"):
+            zn = ev(lam, {"z": z})
+            wn = ev(fib, {"z": z, "w": w})
+        return zn, wn, np.isfinite(zn) & np.isfinite(wn)
+
+    def backward_step(z, w):
+        with np.errstate(all="ignore"):
+            q = z.copy()
+            for _ in range(6):
+                q = q - (ev(lam, {"z": q}) - z) / ev(dlam, {"z": q})
+            p = w.copy()
+            for _ in range(6):
+                env = {"z": q, "w": p}
+                p = p - (ev(fib, env) - w) / ev(dfib, env)
+            rz = np.abs(ev(lam, {"z": q}) - z)
+            rw = np.abs(ev(fib, {"z": q, "w": p}) - w)
+        scale_z = np.maximum(1.0, np.abs(z))
+        scale_w = np.maximum(1.0, np.abs(w))
+        ok = (np.isfinite(q) & np.isfinite(p)
+              & (rz <= 1e-8 * scale_z) & (rw <= 1e-8 * scale_w))
+        return q, p, ok
+
+    dlam = CompiledExpr(diff(lam, "z"))
+    dfib = CompiledExpr(diff(fib, "w"))
+    lam, fib = CompiledExpr(lam), CompiledExpr(fib)
+    z = z0.astype(complex).copy()
+    w = w0.astype(complex).copy()
+    fate = np.zeros(z.size, dtype=np.uint8)
+    active = np.ones(z.size, dtype=bool)
+    for _ in range(cli._SCAN_CAP):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        za, wa = z[idx], w[idx]
+        if backward:
+            zn, wn, ok = backward_step(za, wa)
+        else:
+            zn, wn, ok = forward_step(za, wa)
+        zbad = ~np.isfinite(zn) | (np.abs(zn) > cli._SCAN_ESCAPE) | ~ok
+        wbad = ((~np.isfinite(wn) | (np.abs(wn) > cli._SCAN_ESCAPE))
+                & ~zbad)
+        axis_hit = wbad & (np.abs(za) <= 0.5)
+        gone = zbad | (wbad & ~axis_hit)
+        safe = ~zbad & ~wbad
+        step = np.zeros(idx.size)
+        step[safe] = np.maximum(np.abs(zn[safe] - za[safe]),
+                                np.abs(wn[safe] - wa[safe]))
+        settled = safe & (step < cli._SCAN_SETTLE)
+        z[idx[safe]] = zn[safe]
+        w[idx[safe]] = wn[safe]
+        fate[idx[axis_hit]] = 2
+        fate[idx[gone]] = 3
+        active[idx[axis_hit | gone | settled]] = False
+
+    open_cells = fate == 0
+    tiny = 1e-12
+    z_in = open_cells & ((np.abs(z) < np.abs(z0)) | (np.abs(z) < tiny))
+    w_in = open_cells & ((np.abs(w) < np.abs(w0)) | (np.abs(w) < tiny))
+    fate[z_in & w_in] = 1
+    fate[z_in & ~w_in] = 2
+    return fate
+
+
+def test_orbit_fate_matches_per_cell_reference(monkeypatch):
+    """Stepping each distinct base once gives every cell's fate as the
+    per-cell loop does: on cells that share a base (0.02 and 0.02 - 0j
+    apart), bases that escape or fail their Newton solve, fibers that hit
+    the w-axis, and cells still open at a small cap."""
+    bases = [0.01, 0.02 + 0.01j, -0.03, 0.04j, complex(0.02, 0.0),
+             complex(0.02, -0.0), 0.3 - 0.2j, 0.45, -0.6, 0.6, 0.9, -0.95]
+    fibers = [0.01, 0.02j, -0.03 + 0.01j, 0.2, -0.9, 0.95j, -0.6, 1.5]
+    zz, ww = (a.ravel() for a in np.meshgrid(bases, fibers))
+    order = np.random.default_rng(5).permutation(zz.size)
+    zz, ww = zz[order], ww[order]
+    for cap in (3, 40, cli._SCAN_CAP):
+        monkeypatch.setattr(cli, "_SCAN_CAP", cap)
+        seen = set()
+        for path in sorted(MAPS.glob("*.map")):
+            exprs = parse_map_file(path.read_text())
+            lam, fib = exprs["lambda"], exprs["fiber"]
+            for backward in (False, True):
+                got = cli._orbit_fate(lam, fib, zz, ww, backward)
+                want = _reference_orbit_fate(lam, fib, zz, ww, backward)
+                assert got.tolist() == want.tolist(), (cap, path, backward)
+                seen |= set(got.tolist())
+        # open (0), origin (1), w-axis (2) and gone (3) cells all occur
+        assert seen == ({0, 1, 2, 3} if cap < 1000 else {1, 2, 3})
 
 
 class TestVerify:

@@ -8,11 +8,17 @@ from hypothesis import given, settings, strategies as st
 from parafatou.engine import build_general_pipeline
 from parafatou.errors import NonvanishingConstant, ParseError
 from parafatou.expressions import (
+    ONE,
+    ZERO,
+    BinOp,
     CompiledExpr,
     Const,
+    Neg,
+    Pow,
     Var,
     diff,
     ev,
+    fold,
     fold_deep,
     parse_expr,
     parse_map_file,
@@ -105,6 +111,83 @@ def test_derivative_partial():
     z, w = 0.3 + 0.1j, -0.25
     assert ev(dw, {"z": z, "w": w}) == pytest.approx(1 - 2 * w + z**2)
     assert ev(dz, {"z": z, "w": w}) == pytest.approx(2 * z * w)
+
+
+def _unfolded_diff(expr, var):
+    """`diff` as it was before it folded the nodes its rules build."""
+    if isinstance(expr, Const):
+        return ZERO
+    if isinstance(expr, Var):
+        return ONE if expr.name == var else ZERO
+    if isinstance(expr, Neg):
+        return fold(Neg(_unfolded_diff(expr.arg, var)))
+    if isinstance(expr, Pow):
+        if expr.exponent == 0:
+            return ZERO
+        d = _unfolded_diff(expr.base, var)
+        return fold(BinOp("*", BinOp("*", Const(expr.exponent),
+                                     Pow(expr.base, expr.exponent - 1)), d))
+    a, b = expr.left, expr.right
+    da, db = _unfolded_diff(a, var), _unfolded_diff(b, var)
+    if expr.op in "+-":
+        return fold(BinOp(expr.op, da, db))
+    if expr.op == "*":
+        return fold(BinOp("+", BinOp("*", da, b), BinOp("*", a, db)))
+    num = BinOp("-", BinOp("*", da, b), BinOp("*", a, db))
+    return fold(BinOp("/", num, Pow(b, 2)))
+
+
+def _dead_terms(expr):
+    """Nodes of the tree that fold would remove: x^1, 0*x, 1*x, x*0, x*1."""
+    if isinstance(expr, Pow):
+        return [expr] * (expr.exponent == 1) + _dead_terms(expr.base)
+    if isinstance(expr, Neg):
+        return _dead_terms(expr.arg)
+    if isinstance(expr, BinOp):
+        dead = [expr] * (expr.op == "*" and any(
+            isinstance(x, Const) and x.value in (0, 1)
+            for x in (expr.left, expr.right)))
+        return dead + _dead_terms(expr.left) + _dead_terms(expr.right)
+    return []
+
+
+def test_diff_pins_folded_trees():
+    cubic = parse_expr("w - w^2 + w^3")
+    assert diff(cubic, "w") == parse_expr("1 - 2*w + 3*w^2")
+    assert _dead_terms(_unfolded_diff(cubic, "w")) == [Pow(Var("w"), 1)]
+    assert diff(parse_expr("z/(1+z)"), "z") == parse_expr(
+        "((1 + z) - z)/(1 + z)^2")
+    assert diff(parse_expr("z + 2*z^2"), "z") == parse_expr("1 + 2*(2*z)")
+    assert diff(parse_expr("w + 3*w^2 + z^3 + z^2*w + z*w^2"),
+                "w") == parse_expr("1 + 3*(2*w) + z^2 + z*(2*w)")
+
+
+@pytest.mark.parametrize("path", MAPS, ids=lambda p: p.stem)
+def test_diff_leaves_no_dead_terms_and_keeps_its_values(path):
+    """The folded derivatives of the map and of the pipeline germ's fiber
+    hold no x^1 and no product with 0 or 1, and evaluate bit for bit as
+    the unfolded ones did, on scalars and arrays."""
+    parsed = parse_map_file(path.read_text())
+    F = make_skew_germ(parsed["lambda"], parsed["fiber"], order=12)
+    G = build_general_pipeline(F, 4).germ
+    rng = np.random.default_rng(3)
+    n = 100
+    small = (rng.uniform(-0.5, 0.5, (2, n))
+             + 1j * rng.uniform(-0.5, 0.5, (2, n)))
+    large = np.exp(rng.uniform(np.log(5), np.log(5e3), (2, n))
+                   + 1j * rng.uniform(-np.pi, np.pi, (2, n)))
+    cases = [(parsed["lambda"], "z", small), (parsed["fiber"], "w", small),
+             (parsed["fiber"], "z", small), (G.fiber_expr, "w", large)]
+    for expr, var, (z, w) in cases:
+        folded, unfolded = diff(expr, var), _unfolded_diff(expr, var)
+        assert _dead_terms(folded) == []
+        for tree in (folded, CompiledExpr(folded)):
+            for a, b in zip(z.tolist(), w.tolist()):
+                env = {"z": a, "w": b}
+                assert _bits(ev(tree, env)) == _bits(ev(unfolded, env))
+            env = {"z": z, "w": w}
+            assert _bits(ev(tree, env)) == _bits(ev(unfolded, env))
+    assert G._dfdw == diff(G.fiber_expr, "w")
 
 
 def test_subst_builds_inverse_chart():
