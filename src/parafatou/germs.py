@@ -90,6 +90,17 @@ def _finite(x) -> bool:
 
 
 NEWTON_STEPS = 50
+NEWTON_BOUND = 1e8
+_NEWTON_FAILURES = {
+    "flat": "flat derivative",
+    "bound": "left the local region",
+    "steps": f"no convergence to {{}} in {NEWTON_STEPS} steps",
+}
+
+
+def _diverged(reason: str, x, target) -> NewtonDiverged:
+    return NewtonDiverged(_NEWTON_FAILURES[reason].format(target),
+                          last_value=x, reason=reason)
 
 
 def newton(f, df, target, guess, tol):
@@ -97,11 +108,20 @@ def newton(f, df, target, guess, tol):
 
     Returns the first x with |r| <= tol. Raises NewtonDiverged with the
     last iterate and a reason: "flat" for a zero, infinite or nan
-    derivative, "bound" for an iterate beyond 1e8 * max(1, |guess|),
-    "steps" after NEWTON_STEPS steps.
+    derivative, "bound" for an iterate beyond
+    NEWTON_BOUND * max(1, |guess|), "steps" after NEWTON_STEPS steps.
+
+    A numpy-array guess is solved element by element, with target and tol
+    scalars or arrays of its shape: an element is done at its first
+    iterate with |r| <= tol and is never stepped again, and each rule
+    above applies to each element not yet done, with its own guess's
+    bound. If any element fails, NewtonDiverged carries the whole array
+    of iterates. f and df get the whole array at every step.
     """
+    if type(guess) is np.ndarray:
+        return _newton_elementwise(f, df, target, guess, tol)
     x = guess
-    bound = 1e8 * max(1.0, abs(x))
+    bound = NEWTON_BOUND * max(1.0, abs(x))
     for _ in range(NEWTON_STEPS):
         r = f(x) - target
         if abs(r) <= tol:
@@ -111,15 +131,46 @@ def newton(f, df, target, guess, tol):
         except ZeroDivisionError:
             d = math.inf
         if not 0 < abs(d) < math.inf:
-            raise NewtonDiverged("flat derivative", last_value=x,
-                                 reason="flat")
+            raise _diverged("flat", x, target)
         x = x - r / d
         if abs(x) > bound:
-            raise NewtonDiverged("left the local region", last_value=x,
-                                 reason="bound")
-    raise NewtonDiverged(
-        f"no convergence to {target} in {NEWTON_STEPS} steps",
-        last_value=x, reason="steps")
+            raise _diverged("bound", x, target)
+    raise _diverged("steps", x, target)
+
+
+def _newton_elementwise(f, df, target, guess, tol):
+    """newton's rules, applied to each element of an array guess."""
+    x = guess
+    bound = NEWTON_BOUND * np.maximum(1.0, np.abs(x))
+    live = np.ones(x.shape, dtype=bool)
+    what = f"{x.size} targets"
+    # a zero derivative or a pole gives inf or nan here, which the flat
+    # rule refuses; steps of done elements are computed and dropped
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            r = f(x) - target
+            live &= ~(np.abs(r) <= tol)
+            if not live.any():
+                return x
+            d = df(x)
+            ad = np.abs(d)
+            if np.any(live & ~((0 < ad) & (ad < math.inf))):
+                raise _diverged("flat", x, what)
+            x = np.where(live, x - r / d, x)
+            if np.any(live & (np.abs(x) > bound)):
+                raise _diverged("bound", x, what)
+    raise _diverged("steps", x, what)
+
+
+_INVERSE_EPS = 4 * np.finfo(float).eps
+
+
+def _inverse_tol(target):
+    """Newton tol of the local inverses: 4 ulp of |target|, at least 1e-12,
+    elementwise on an array target."""
+    if type(target) is np.ndarray:
+        return np.maximum(1e-12, _INVERSE_EPS * np.abs(target))
+    return max(1e-12, _INVERSE_EPS * abs(target))
 
 
 def _compiled(expr: Expr | None) -> CompiledExpr | None:
@@ -194,8 +245,7 @@ class Germ1D:
     def local_inverse(self, target, guess=None):
         """Newton solve self(x) = target near guess (default: target)."""
         x = target if guess is None else guess
-        tol = max(1e-12, 4 * np.finfo(float).eps * abs(target))
-        return newton(self, self.derivative, target, x, tol)
+        return newton(self, self.derivative, target, x, _inverse_tol(target))
 
 
 def _strip_common_powers(p: dict, q: dict) -> tuple[dict, dict]:
@@ -325,9 +375,9 @@ class SkewGerm2D:
 
     def fiber_inverse(self, t, target, guess):
         """Newton solve fiber(t, x) = target for x near guess."""
-        tol = max(1e-12, 4 * np.finfo(float).eps * abs(target))
         return newton(lambda x: self.fiber(t, x),
-                      lambda x: self.fiber_dw(t, x), target, guess, tol)
+                      lambda x: self.fiber_dw(t, x), target, guess,
+                      _inverse_tol(target))
 
 
 def make_skew_germ(lam, fiber, order: int, check: bool = True) -> SkewGerm2D:

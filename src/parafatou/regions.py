@@ -189,16 +189,6 @@ def classify(p: Point2, regions: dict[str, ProductRegion]) -> str | None:
     return min(matches, key=score)
 
 
-def _inverse_points(G: SkewGerm2D, u: np.ndarray, v: np.ndarray):
-    iu = np.empty_like(u)
-    iv = np.empty_like(v)
-    for k in range(len(u)):
-        q = G.local_inverse(Point2(u[k], v[k], INFINITY))
-        iu[k] = q.z
-        iv[k] = q.w
-    return iu, iv
-
-
 def choose_radius(G: SkewGerm2D) -> float:
     """Smallest candidate radius whose regions pass a sampled margin test.
 
@@ -217,7 +207,8 @@ def choose_radius(G: SkewGerm2D) -> float:
             u, v = region_points(reg, RADIUS_SAMPLES, seed=0)
             try:
                 if backward:
-                    u1, v1 = _inverse_points(G, u, v)
+                    u1, v1 = G.local_inverse(
+                        Point2(u, v, INFINITY)).as_tuple()
                 else:
                     u1 = G.first(u)
                     v1 = G.fiber(u, v)

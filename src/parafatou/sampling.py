@@ -26,11 +26,15 @@ _ANGLE_PAD = 0.9
 def _radical_inverse(idx: np.ndarray, base: int) -> np.ndarray:
     out = np.zeros(len(idx), dtype=float)
     scale = 1.0 / base
-    work = idx.copy()
-    while work.any():
-        out += (work % base) * scale
-        work //= base
+    work = idx
+    # one pass per digit of the largest index; past its own last digit an
+    # index adds 0.0, which leaves its sum as it was
+    top = int(idx.max()) if len(idx) else 0
+    while top:
+        work, digit = np.divmod(work, base)
+        out += digit * scale
         scale /= base
+        top //= base
     return out
 
 

@@ -303,10 +303,10 @@ INF = float("inf")
     ("curved o", (-50, 3 - 5j), CFG,
      (-49.09617018978323, 0.05997950370752493 - 4.884866799334281j), 5, INF,
      ESCAPED),
-    # the curved rows keep their generated ids for now (ROADMAP item 6)
 ], ids=["incoming-budget", "psi_a-budget", "i-budget", "o-budget",
         "incoming-leaves", "psi_a-leaves", "i-leaves", "o-leaves",
-        None, None, None, None])
+        "curved_i-budget", "curved_o-budget", "curved_i-leaves",
+        "curved_o-leaves"])
 def test_failure_verdicts(G, pipe_mobius, pipe_curved, engine, start, cfg,
                           value, iterations, delta, verdict):
     p = Point2(*start, INFINITY)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,12 @@ from parafatou.errors import (
     NotNormalized,
     NotTangentToIdentity,
 )
-from parafatou.engine import ConvergenceConfig, _outside_sector
-from parafatou.expressions import parse_expr, to_series2
+from parafatou.engine import (
+    ConvergenceConfig,
+    _outside_sector,
+    build_general_pipeline,
+)
+from parafatou.expressions import parse_expr, parse_map_file, to_series2
 from parafatou.germs import (
     Germ1D,
     Point2,
@@ -23,11 +29,16 @@ from parafatou.germs import (
     fiber_limit_map,
     make_germ1d,
     make_skew_germ,
+    _inverse_tol,
     newton,
     reciprocal_transport,
     to_infinity,
 )
+from parafatou.regions import make_regions
+from parafatou.sampling import region_points
 from parafatou.series import INFINITY, ORIGIN
+
+MAPS = sorted((Path(__file__).resolve().parent.parent / "maps").glob("*.map"))
 
 
 def special_map(order=12):
@@ -330,3 +341,84 @@ def test_newton_failure_kinds(reason, f, df, target, guess, tol):
         newton(f, df, target, guess, tol)
     assert exc.value.reason == reason
     assert exc.value.last_value is not None
+
+
+# ------------------------------------------------------- newton on arrays
+
+
+@pytest.fixture(scope="module", params=MAPS, ids=lambda p: p.stem)
+def pipeline_germ(request):
+    """The germ upstairs of a map's pipeline, in the infinity chart."""
+    parsed = parse_map_file(request.param.read_text())
+    F = make_skew_germ(parsed["lambda"], parsed["fiber"], order=12)
+    return build_general_pipeline(F, 4).germ
+
+
+@pytest.mark.parametrize("radius", [10.0, 500.0])
+def test_array_inverses_match_scalar_solves(pipeline_germ, radius):
+    """Each element of an array solve lies within its own tol of that
+    element's scalar solve, for the base and for the whole inverse."""
+    G = pipeline_germ
+    u, v = region_points(make_regions(radius, INFINITY)["o"], 240, seed=1)
+    z0 = G.first.local_inverse(u)
+    q = G.local_inverse(Point2(u, v, INFINITY))
+    assert z0.shape == q.z.shape == q.w.shape == u.shape
+    for k, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+        qs = G.local_inverse(Point2(a, b, INFINITY))
+        assert abs(z0[k] - G.first.local_inverse(a)) <= _inverse_tol(a)
+        assert abs(q.z[k] - qs.z) <= _inverse_tol(a)
+        assert abs(q.w[k] - qs.w) <= _inverse_tol(b)
+
+
+def test_newton_array_done_element_is_not_stepped_again():
+    """Element 0 is done after a few steps at its loose tol, while element
+    1 runs on; element 2 is done at its guess, where the derivative is 0."""
+    def sq(x):
+        return x * x
+
+    def dsq(x):
+        return 2 * x
+
+    target = np.array([4 + 0j, 4 + 0j, 0j])
+    guess = np.array([3 + 1j, 100 + 1j, 0j])
+    tol = np.array([1e-1, 1e-12, 1e-12])
+    x = newton(sq, dsq, target, guess, tol)
+    for k in range(3):
+        alone = newton(sq, dsq, target[k:k + 1], guess[k:k + 1], tol[k:k + 1])
+        assert alone[0] == x[k]
+    # element 0 stopped short of the tol the others met
+    assert 1e-12 < abs(x[0] ** 2 - 4) <= 1e-1
+    assert abs(x[1] ** 2 - 4) <= 1e-12
+    assert x[2] == 0
+
+
+@pytest.mark.parametrize("reason, f, df, target, guess, tol", [
+    # element 1 has a zero derivative at its guess
+    ("flat", lambda x: x * x, lambda x: 2 * x, [4, 1, 9], [1.5, 0, 2.5],
+     1e-12),
+    # element 0 is done at once; element 1's derivative divides by zero
+    ("flat", lambda x: x * x, lambda x: 2 / (1 / x), [1, 1, 9], [1, 0, 2.5],
+     1e-12),
+    # element 1's first step lands about 5e9 away, past its own bound
+    # 1e8 * max(1, 1e-10) though within element 2's 1e8 * 99
+    ("bound", lambda x: x * x, lambda x: 2 * x, [4, 1, 1e4],
+     [1.5, 1e-10, 99], 1e-12),
+    # element 1 is a double root and converges linearly, to 2^-50 only
+    ("steps", lambda x: x * x, lambda x: 2 * x, [4, 0, 9], [1.5, 1, 2.5],
+     [1e-12, 1e-300, 1e-12]),
+])
+def test_newton_array_one_bad_element(reason, f, df, target, guess, tol):
+    target = np.array(target, dtype=complex)
+    guess = np.array(guess, dtype=complex)
+    tol = np.asarray(tol)
+    good = [0, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonDiverged) as exc:
+            newton(f, df, target, guess, tol)
+        # the same elements without the bad one all converge
+        x = newton(f, df, target[good], guess[good],
+                   tol[good] if tol.ndim else tol)
+    assert exc.value.reason == reason
+    assert exc.value.last_value.shape == guess.shape
+    assert np.all(np.abs(f(x) - target[good]) <= 1e-12)

@@ -1,7 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from parafatou.errors import ChartMismatch, NoValidRadius
+from parafatou.engine import build_general_pipeline
+from parafatou.errors import (
+    ChartMismatch,
+    NewtonDiverged,
+    NonFiniteValue,
+    NoValidRadius,
+)
+from parafatou.expressions import parse_map_file
 from parafatou.germs import (
     Point2,
     SkewGerm2D,
@@ -10,6 +19,9 @@ from parafatou.germs import (
     to_infinity,
 )
 from parafatou.regions import (
+    RADIUS_CANDIDATES,
+    RADIUS_MARGIN,
+    RADIUS_SAMPLES,
     ProductRegion,
     Sector,
     UNeighborhood,
@@ -26,6 +38,7 @@ from parafatou.sampling import (
 from parafatou.series import INFINITY, ORIGIN
 
 OPEN = 3 * np.pi / 4
+MAPS = sorted((Path(__file__).resolve().parent.parent / "maps").glob("*.map"))
 
 
 def special_G(order=12):
@@ -228,6 +241,95 @@ def test_choose_radius_huge_coefficient():
         chart=INFINITY, check=False)
     R = choose_radius(wild)
     assert R > 10.0
+
+
+def test_choose_radius_middle_candidate():
+    base = make_germ1d("z + 1", 8, chart=INFINITY)
+    # the tail pushes R = 10's outgoing samples back across the sector
+    # edge (minimum margin -3.24); at R = 20 it is 3.43
+    G = SkewGerm2D(base, "w + 1 + (300+900i)/w^2", None,
+                   chart=INFINITY, check=False)
+    assert choose_radius(G) == 20.0
+
+
+def _translation_germ(fiber):
+    base = make_germ1d("z + 1", 8, chart=INFINITY)
+    return SkewGerm2D(base, fiber, None, chart=INFINITY, check=False)
+
+
+def _pipeline_germ(path):
+    parsed = parse_map_file(path.read_text())
+    F = make_skew_germ(parsed["lambda"], parsed["fiber"], order=12)
+    return build_general_pipeline(F, 4).germ
+
+
+def _backward_margin(G, reg, inverse):
+    """Minimum margin of reg's radius samples one step back, or None when
+    a solve fails."""
+    u, v = region_points(reg, RADIUS_SAMPLES, seed=0)
+    try:
+        u1, v1 = inverse(G, u, v)
+    except (NewtonDiverged, NonFiniteValue):
+        return None
+    return float(np.min(np.minimum(reg.first.margin(u1),
+                                   reg.second.margin(v1))))
+
+
+def _per_point_inverse(G, u, v):
+    """The one-point-at-a-time inverse choose_radius ran before it solved
+    all samples as one array; the oracle below."""
+    iu = np.empty_like(u)
+    iv = np.empty_like(v)
+    for k in range(len(u)):
+        q = G.local_inverse(Point2(u[k], v[k], INFINITY))
+        iu[k] = q.z
+        iv[k] = q.w
+    return iu, iv
+
+
+def _array_inverse(G, u, v):
+    q = G.local_inverse(Point2(u, v, INFINITY))
+    return q.z, q.w
+
+
+@pytest.mark.parametrize("make, arg", [
+    (_pipeline_germ, MAPS[0]),
+    (_pipeline_germ, MAPS[1]),
+    (lambda _: special_G(), None),
+    (_translation_germ, "w + 1"),
+    (_translation_germ, "w + 1 + (-801144 + 598472i)/w^2"),
+    (_translation_germ, "w + 1 + (300+900i)/w^2"),
+    (_translation_germ, "w + 1 + 50/w^2"),
+    (_translation_germ, "w + 1 + 1/(z*w)"),
+    (_translation_germ, "1 - w"),
+], ids=[MAPS[0].stem, MAPS[1].stem, "special", "translation", "huge",
+        "middle", "tail", "cross", "sign_flip"])
+def test_choose_radius_decisions_match_per_point_inverse(make, arg):
+    """At every candidate the array inverse passes or fails the outgoing
+    margin test as the per-point inverse does, with the same minimum
+    margin, so choose_radius picks the radius the per-point loop picks."""
+    G = make(arg)
+    oracle_radius = None
+    for R in RADIUS_CANDIDATES:
+        regions = make_regions(float(R), INFINITY)
+        want = _backward_margin(G, regions["o"], _per_point_inverse)
+        got = _backward_margin(G, regions["o"], _array_inverse)
+        assert (want is None) == (got is None), R
+        if want is None:
+            continue
+        assert abs(got - want) <= 1e-9, R
+        assert (got >= RADIUS_MARGIN) == (want >= RADIUS_MARGIN), R
+        u, v = region_points(regions["i"], RADIUS_SAMPLES, seed=0)
+        forward = np.minimum(regions["i"].first.margin(G.first(u)),
+                             regions["i"].second.margin(G.fiber(u, v)))
+        if oracle_radius is None and want >= RADIUS_MARGIN \
+                and np.all(forward >= RADIUS_MARGIN):
+            oracle_radius = float(R)
+    if oracle_radius is None:
+        with pytest.raises(NoValidRadius):
+            choose_radius(G)
+    else:
+        assert choose_radius(G) == oracle_radius
 
 
 def test_no_valid_radius():
