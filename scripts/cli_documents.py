@@ -5,8 +5,9 @@
 Runs the command line of the checkout (its own ``src/``) from the
 checkout's root with relative ``--map maps/...`` paths, so the documents
 embed no absolute path.  For each map it writes ``normalize``, ``coord
---tag i`` and ``coord --tag o``, and ``basin-scan`` at theta (0, 0) and
-(0.5, 2.0); ``verify`` runs on ``mobius_cubic`` only: 19 documents under
+--tag i`` and ``coord --tag o``, ``normalize`` and ``coord --tag i`` at
+``--order-M 6``, and ``basin-scan`` at theta (0, 0) and (0.5, 2.0);
+``verify`` runs on ``mobius_cubic`` only: 23 documents under
 ``<outdir>/<map>/<run>/``.  The scans run at the default grid 256 and
 take about a minute each.  To compare two checkouts:
 
@@ -31,6 +32,8 @@ def runs(map_name: str):
     yield "normalize", ["normalize"]
     for tag in ("i", "o"):
         yield f"coord_{tag}", ["coord", "--tag", tag]
+    yield "normalize_M6", ["normalize", "--order-M", "6"]
+    yield "coord_i_M6", ["coord", "--tag", "i", "--order-M", "6"]
     for name, (t1, t2) in SCANS.items():
         yield name, ["basin-scan", "--theta1", t1, "--theta2", t2]
     if map_name == "mobius_cubic":

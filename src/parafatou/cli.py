@@ -46,7 +46,7 @@ from .germs import (
     make_germ1d,
     make_skew_germ,
 )
-from .normal_form import BranchedLog
+from .normal_form import BranchedLog, min_jet_order
 from .regions import Sector, UNeighborhood, classify, make_regions
 from .sampling import region_points, sector_points
 from .verify import (
@@ -104,7 +104,7 @@ def _load_map(cfg: RunConfig):
 
 def _build(cfg: RunConfig):
     lam, fib = _load_map(cfg)
-    order = max(12, cfg.M + 8)
+    order = max(12, min_jet_order(cfg.M))
     F = make_skew_germ(lam, fib, order=order)
     pipe = build_general_pipeline(F, cfg.M, _engine_cfg(cfg))
     return lam, fib, F, pipe
@@ -536,7 +536,7 @@ def cmd_verify(cfg: RunConfig):
                   sector_points(Sector(radius=15.0), 2, seed + 6)]
     reports.append(lambda_scaling_check(ref, 1, 2j, pts_ref_in, cfg=ecfg))
 
-    trace = incoming_1d_trace(ref, 1, 10.0, 2000, ecfg, corrected=False)
+    trace = incoming_1d_trace(ref, 1, 10.0, 2000, ecfg)
     deltas = [abs(b - a) for a, b in zip(trace, trace[1:])]
     slope = decay_exponent(deltas)
     slope_ok = slope <= -1.5

@@ -433,20 +433,18 @@ def incoming_1d(g: Germ1D, alpha: complex, w, cfg: ConvergenceConfig = None,
 
 def incoming_1d_trace(g: Germ1D, alpha: complex, w, n_steps: int,
                       cfg: ConvergenceConfig = None,
-                      log: BranchedLog = None,
-                      corrected: bool = False) -> list:
+                      log: BranchedLog = None) -> list:
     """First n_steps estimates of the incoming limit, for decay studies.
 
-    With corrected=False the estimates are the uncorrected log-adjusted
-    iterates, whose successive differences exhibit the germ's own decay
-    exponent rather than the accelerated one.
+    The estimates are the uncorrected log-adjusted iterates, whose
+    successive differences exhibit the germ's own decay exponent rather
+    than the accelerated one.
     """
     if g.chart != INFINITY:
         raise ChartMismatch("incoming coordinate lives at infinity")
     cfg = cfg or DEFAULT_CONFIG
     log = log or BranchedLog(0.0)
-    cors = (abel_corrections(g.jet, alpha) if corrected
-            else Corrections(complex(alpha), ()))
+    cors = Corrections(complex(alpha), ())
     x = complex(w)
     out = [cors.phi(x, log)]
     for n in range(1, n_steps + 1):

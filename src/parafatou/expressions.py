@@ -597,33 +597,33 @@ def poly_eq(a: dict, b: dict, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------- series expansion
 
 
-def to_series1(expr: Expr, order: int, var: str = "z") -> TruncatedSeries1:
-    """Origin-chart jet of the expression as a function of one variable.
+def to_series1(expr: Expr, order: int) -> TruncatedSeries1:
+    """Origin-chart jet of the expression as a function of z alone.
 
     Division requires the denominator to be nonzero at the origin, i.e. the
     expression must be analytic there.
     """
-    coeffs = _series1_rec(expr, order, var)
+    coeffs = _series1_rec(expr, order)
     return TruncatedSeries1(coeffs)
 
 
-def _series1_rec(expr: Expr, n: int, var: str) -> list[complex]:
+def _series1_rec(expr: Expr, n: int) -> list[complex]:
     if isinstance(expr, Const):
         return [expr.value] + [0j] * n
     if isinstance(expr, Var):
-        if expr.name != var:
+        if expr.name != "z":
             raise ParseError(f"unexpected variable {expr.name!r} in 1-d expression")
         return [0j, 1 + 0j] + [0j] * (n - 1) if n >= 1 else [0j]
     if isinstance(expr, Neg):
-        return [-c for c in _series1_rec(expr.arg, n, var)]
+        return [-c for c in _series1_rec(expr.arg, n)]
     if isinstance(expr, Pow):
-        base = _series1_rec(expr.base, n, var)
+        base = _series1_rec(expr.base, n)
         out = [1 + 0j] + [0j] * n
         for _ in range(expr.exponent):
             out = _mul1(out, base, n)
         return out
-    a = _series1_rec(expr.left, n, var)
-    b = _series1_rec(expr.right, n, var)
+    a = _series1_rec(expr.left, n)
+    b = _series1_rec(expr.right, n)
     if expr.op == "+":
         return [x + y for x, y in zip(a, b)]
     if expr.op == "-":

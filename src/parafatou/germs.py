@@ -186,16 +186,16 @@ def _num_eval(expr: CompiledExpr, env: dict):
 
 
 class Germ1D:
-    """One-variable germ: evaluator plus jet in a common chart.
+    """Germ in z: evaluator plus jet in a common chart.
 
     `expr` is the closed form used for evaluation and differentiation. An
     evaluator callable may be supplied instead when no closed form exists
     (numerically inverted maps); such germs cannot be differentiated.
+    check=False skips the evaluator-against-jet spot check.
     """
 
     def __init__(self, jet: TruncatedSeries1, expr: Expr | None = None,
-                 chart: str = ORIGIN, var: str = "z", evaluator=None,
-                 check: bool = True):
+                 chart: str = ORIGIN, evaluator=None, check: bool = True):
         if expr is None and evaluator is None:
             raise ValueError("need expr or evaluator")
         if jet.chart != chart:
@@ -203,9 +203,8 @@ class Germ1D:
         self.jet = jet
         self.expr = fold_deep(_as_expr(expr)) if expr is not None else None
         self.chart = chart
-        self.var = var
         self._evaluator = evaluator
-        self._dexpr = diff(self.expr, var) if self.expr is not None else None
+        self._dexpr = diff(self.expr, "z") if self.expr is not None else None
         self._code = _compiled(self.expr)
         self._dcode = _compiled(self._dexpr)
         if chart == ORIGIN:
@@ -232,7 +231,7 @@ class Germ1D:
         if self._evaluator is not None:
             y = self._evaluator(x)
         else:
-            y = _num_eval(self._code, {self.var: x})
+            y = _num_eval(self._code, {"z": x})
         if not _finite(y):
             raise NonFiniteValue(f"germ evaluation at {x}")
         return y
@@ -240,7 +239,7 @@ class Germ1D:
     def derivative(self, x):
         if self._dexpr is None:
             raise WrongForm("no closed form to differentiate")
-        return _num_eval(self._dcode, {self.var: x})
+        return _num_eval(self._dcode, {"z": x})
 
     def local_inverse(self, target, guess=None):
         """Newton solve self(x) = target near guess (default: target)."""
@@ -260,15 +259,15 @@ def _strip_common_powers(p: dict, q: dict) -> tuple[dict, dict]:
     return p, q
 
 
-def reciprocal_transport(e: Expr, var: str = "z") -> Expr:
-    """Closed form of 1 / e(1/x), reduced so it is analytic at the origin.
+def reciprocal_transport(e: Expr) -> Expr:
+    """Closed form of 1 / e(1/z), reduced so it is analytic at the origin.
 
     This moves an infinity-chart map back to the origin chart (and vice
     versa, the operation is an involution). Denominators are cleared first;
-    a bare substitution would leave 1/x subtrees that poison series
+    a bare substitution would leave 1/z subtrees that poison series
     expansion even when the composite is regular.
     """
-    body = subst(_as_expr(e), {var: Const(1) / Var(var)})
+    body = subst(_as_expr(e), {"z": Const(1) / Z})
     p, q = as_rational_poly2(body)
     if not p:
         raise WrongForm("reciprocal of the zero map")
@@ -276,28 +275,27 @@ def reciprocal_transport(e: Expr, var: str = "z") -> Expr:
     return fold_deep(poly2_to_expr(q) / poly2_to_expr(p))
 
 
-def make_germ1d(expr, order: int, chart: str = ORIGIN, var: str = "z",
-                check: bool = True) -> Germ1D:
-    """Build a germ from a closed form, expanding the jet to `order`."""
+def make_germ1d(expr, order: int, chart: str = ORIGIN) -> Germ1D:
+    """Build a germ in z from a closed form, expanding the jet to `order`."""
     e = fold_deep(_as_expr(expr))
     if chart == ORIGIN:
-        jet = to_series1(e, order, var=var)
+        jet = to_series1(e, order)
     else:
-        origin = to_series1(reciprocal_transport(e, var), order + 2, var=var)
-        jet = infinity_chart1(origin)
-    return Germ1D(jet, expr=e, chart=chart, var=var, check=check)
+        jet = infinity_chart1(to_series1(reciprocal_transport(e), order + 2))
+    return Germ1D(jet, expr=e, chart=chart)
 
 
 class SkewGerm2D:
     """Skew product (z, w) -> (first(z), fiber(z, w)).
 
     `jet2` is always origin-chart coefficient data, even for a germ whose
-    evaluator works at infinity; coefficient extraction happens there.
+    evaluator works at infinity; coefficient extraction happens there. An
+    origin-chart product spot-checks its fiber against jet2; an
+    infinity-chart one checks nothing, and may have no jet2.
     """
 
     def __init__(self, first: Germ1D, fiber_expr,
-                 jet2: TruncatedSeries2 | None, chart: str = ORIGIN,
-                 check: bool = True):
+                 jet2: TruncatedSeries2 | None, chart: str = ORIGIN):
         self.first = first
         self.fiber_expr = fold_deep(_as_expr(fiber_expr))
         self.jet2 = jet2
@@ -319,7 +317,6 @@ class SkewGerm2D:
             if abs(c01 - 1) > 1e-12 or abs(c10) > 1e-12:
                 raise NotTangentToIdentity(
                     f"fiber derivative at 0 is {c10} dz + {c01} dw")
-        if check and chart == ORIGIN:
             self._check_agreement()
 
     def _check_agreement(self) -> None:
@@ -380,13 +377,13 @@ class SkewGerm2D:
                       _inverse_tol(target))
 
 
-def make_skew_germ(lam, fiber, order: int, check: bool = True) -> SkewGerm2D:
+def make_skew_germ(lam, fiber, order: int) -> SkewGerm2D:
     """Origin-chart skew product from closed forms for base and fiber."""
     lam_e = fold_deep(_as_expr(lam))
     fib_e = fold_deep(_as_expr(fiber))
-    first = make_germ1d(lam_e, order, chart=ORIGIN, check=check)
+    first = make_germ1d(lam_e, order, chart=ORIGIN)
     jet2 = to_series2(fib_e, order)
-    return SkewGerm2D(first, fib_e, jet2, chart=ORIGIN, check=check)
+    return SkewGerm2D(first, fib_e, jet2, chart=ORIGIN)
 
 
 def _is_exact_translation(expr: Expr, var: str) -> bool:
@@ -423,10 +420,10 @@ def to_infinity(germ: SkewGerm2D) -> SkewGerm2D:
         base_e = fold_deep(Z + Const(1))
         base_jet = TruncatedSeries1(
             [1] + [0] * base_jet.order, INFINITY)
-    base = Germ1D(base_jet, expr=base_e, chart=INFINITY, check=True)
+    base = Germ1D(base_jet, expr=base_e, chart=INFINITY)
     fib_e = fold_deep(
         inv / subst(germ.fiber_expr, {"z": inv / Z, "w": inv / Var("w")}))
-    return SkewGerm2D(base, fib_e, germ.jet2, chart=INFINITY, check=False)
+    return SkewGerm2D(base, fib_e, germ.jet2, chart=INFINITY)
 
 
 def fiber_limit_map(germ: SkewGerm2D, order: int | None = None) -> Germ1D:
@@ -457,4 +454,4 @@ def fiber_limit_map(germ: SkewGerm2D, order: int | None = None) -> Germ1D:
             order = germ.jet2.order
         else:
             order = germ.first.jet.order + 2
-    return make_germ1d(expr, order, chart=INFINITY, var="z")
+    return make_germ1d(expr, order, chart=INFINITY)

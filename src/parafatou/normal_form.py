@@ -29,7 +29,7 @@ from .errors import (
     OrderTooLargeForJet,
     WrongForm,
 )
-from .expressions import Const, Pow, W, Z, fold_deep, subst, to_series2
+from .expressions import Const, Expr, Pow, W, Z, fold_deep, subst, to_series2
 from .germs import Germ1D, Point2, SkewGerm2D, make_germ1d, newton
 from .series import INFINITY, ORIGIN, TruncatedSeries2
 
@@ -40,8 +40,7 @@ MAX_M = 10
 @lru_cache(maxsize=64)
 def rotation(center: float) -> complex:
     """np.exp(-1j * center) as a Python complex: the one turn that brings
-    a center's direction to the positive real axis, for scalars and arrays
-    alike."""
+    a center's direction to the positive real axis."""
     return complex(np.exp(-1j * center))
 
 
@@ -55,10 +54,9 @@ class BranchedLog:
     silently drifts across the cut gets caught instead of producing a
     2*pi*i jump.  It refuses 0 as well, which lies on no branch.
 
-    Both paths turn the argument by the cached ``rotation(center)``.  A
-    Python complex, float or int (numpy scalars included) goes through
-    ``cmath`` and gives a Python complex; anything else goes through numpy
-    elementwise.  Both refuse the same points with the same messages.
+    The argument is a Python or numpy scalar.  It is turned by the cached
+    ``rotation(center)``, its angle and log are taken by ``cmath``, and the
+    value is a Python complex.
     """
 
     __slots__ = ("center", "_turn")
@@ -69,28 +67,14 @@ class BranchedLog:
         self.center = float(center)
         self._turn = rotation(self.center)
 
-    def __call__(self, xi):
+    def __call__(self, xi) -> complex:
         y = xi * self._turn
-        if isinstance(xi, (complex, float, int)):
-            angle = abs(cmath.phase(y))
-            if abs(angle - self._DOMAIN) < 1e-12:
-                # cmath and numpy may round y and its angle one ulp apart:
-                # at the edge the array path decides, so both paths refuse
-                # the same points
-                return complex(self(np.array([xi]))[0])
-            if angle > self._DOMAIN:
-                raise ChainDomainError(self._off_message())
-            if y == 0:
-                raise ChainDomainError("0 lies on no log branch")
-            return cmath.log(y) + 1j * self.center
-        off = np.abs(np.angle(y)) > self._DOMAIN
-        if np.any(off | (y == 0)):
-            raise ChainDomainError(self._off_message() if np.any(off)
-                                   else "0 lies on no log branch")
-        return np.log(y) + 1j * self.center
-
-    def _off_message(self) -> str:
-        return f"argument left the log branch centered at {self.center:g}"
+        if abs(cmath.phase(y)) > self._DOMAIN:
+            raise ChainDomainError(
+                f"argument left the log branch centered at {self.center:g}")
+        if y == 0:
+            raise ChainDomainError("0 lies on no log branch")
+        return cmath.log(y) + 1j * self.center
 
     def __repr__(self):
         return f"BranchedLog(center={self.center})"
@@ -302,20 +286,25 @@ def _elimination_targets(M: int) -> list[tuple[int, int]]:
     return out
 
 
-def _apply_fiber_step(F: SkewGerm2D, step) -> SkewGerm2D:
-    """Conjugate F by a shear or fiber scaling, rebuilding expr and jet."""
-    lam_e = F.first.expr
+def min_jet_order(M: int) -> int:
+    """The jet order raise_order needs to reach the degree-M pattern."""
+    return 2 * M + 4
+
+
+def _apply_fiber_step(lam_e: Expr, fib: Expr, order: int,
+                      step) -> tuple[Expr, TruncatedSeries2]:
+    """Conjugate the fiber of a product with base lam_e by a shear or fiber
+    scaling: the new fiber expression and its jet to `order`."""
     if isinstance(step, Shear):
         mono = Const(step.c) * Pow(Z, step.k)
-        fib = subst(F.fiber_expr, {"w": W + mono})
+        fib = subst(fib, {"w": W + mono})
         fib = fib - Const(step.c) * Pow(lam_e, step.k)
     else:
         factor = Const(1) + Const(step.c) * Pow(Z, step.k)
         lam_factor = Const(1) + Const(step.c) * Pow(lam_e, step.k)
-        fib = subst(F.fiber_expr, {"w": W * factor}) / lam_factor
+        fib = subst(fib, {"w": W * factor}) / lam_factor
     fib = fold_deep(fib)
-    jet2 = to_series2(fib, F.jet2.order)
-    return SkewGerm2D(F.first, fib, jet2, chart=ORIGIN, check=False)
+    return fib, to_series2(fib, order)
 
 
 def _zeroed(jet2: TruncatedSeries2, j: int, k: int) -> TruncatedSeries2:
@@ -334,6 +323,10 @@ def raise_order(F: SkewGerm2D, M: int = DEFAULT_M
     coefficient costs one shear (pure terms) or one fiber scaling (cross
     terms); the target coefficient is affine in the step parameter, which
     probe evaluations at c=0 and c=1 pin down.
+
+    The steps rewrite the fiber expression and its jet only; the result is
+    the one germ built from them, and as an origin-chart product it checks
+    that the rewritten fiber agrees with the snapped jet.
     """
     if F.chart != ORIGIN:
         raise ChartMismatch("raise_order works in the origin chart")
@@ -341,9 +334,10 @@ def raise_order(F: SkewGerm2D, M: int = DEFAULT_M
         raise ValueError(f"M must be in [2, {MAX_M}]")
     if abs(F.a2 + 1) > 1e-12 or abs(F.b2 + 1) > 1e-12:
         raise NotNormalized("normalize_quadratic must run first")
-    if F.jet2.order < 2 * M + 4:
+    need = min_jet_order(M)
+    if F.jet2.order < need:
         raise OrderTooLargeForJet(
-            f"need jet order >= {2 * M + 4}, have {F.jet2.order}")
+            f"need jet order >= {need}, have {F.jet2.order}")
     for (j, k), name in (((1, 1), "z w"), ((2, 0), "z^2")):
         if abs(F.jet2.coeff(j, k)) > 1e-12:
             raise WrongForm(
@@ -355,44 +349,39 @@ def raise_order(F: SkewGerm2D, M: int = DEFAULT_M
     if all(abs(F.jet2.coeff(j, k)) <= 1e-12 for j, k in targets):
         return F, ConjugacyChain()
 
-    cur = F
+    lam_e, fib, jet2 = F.first.expr, F.fiber_expr, F.jet2
+    order = jet2.order
     chain = ConjugacyChain()
     for j, k in targets:
-        g0 = cur.jet2.coeff(j, k)
+        g0 = jet2.coeff(j, k)
         scale = max(1.0, abs(g0))
         if abs(g0) <= 1e-13:
             if g0 != 0:
-                cur = SkewGerm2D(cur.first, cur.fiber_expr,
-                                 _zeroed(cur.jet2, j, k),
-                                 chart=ORIGIN, check=False)
+                jet2 = _zeroed(jet2, j, k)
             continue
-        if k == 0:
-            make = lambda c: Shear(c, j - 1)  # noqa: E731
-        else:
-            make = lambda c: FiberScale(c, j - 1)  # noqa: E731
-        g1 = _apply_fiber_step(cur, make(1.0)).jet2.coeff(j, k)
-        slope = g1 - g0
+        make = Shear if k == 0 else FiberScale
+        probe = _apply_fiber_step(lam_e, fib, order, make(1.0, j - 1))[1]
+        slope = probe.coeff(j, k) - g0
         if slope == 0:
             raise WrongForm(f"coefficient z^{j} w^{k} does not respond "
                             "to its elimination step")
         c_star = -g0 / slope
-        nxt = _apply_fiber_step(cur, make(c_star))
+        nxt_fib, nxt_jet = _apply_fiber_step(lam_e, fib, order,
+                                             make(c_star, j - 1))
         for _ in range(3):
-            g = nxt.jet2.coeff(j, k)
+            g = nxt_jet.coeff(j, k)
             if abs(g) <= 1e-12 * scale:
                 break
             c_star = c_star - g / slope
-            nxt = _apply_fiber_step(cur, make(c_star))
-        if abs(nxt.jet2.coeff(j, k)) > 1e-12 * scale:
+            nxt_fib, nxt_jet = _apply_fiber_step(lam_e, fib, order,
+                                                 make(c_star, j - 1))
+        if abs(nxt_jet.coeff(j, k)) > 1e-12 * scale:
             raise WrongForm(
                 f"elimination of z^{j} w^{k} did not converge")
-        cur = SkewGerm2D(nxt.first, nxt.fiber_expr,
-                         _zeroed(nxt.jet2, j, k), chart=ORIGIN, check=False)
-        chain = chain.prepend(make(c_star))
+        fib, jet2 = nxt_fib, _zeroed(nxt_jet, j, k)
+        chain = chain.prepend(make(c_star, j - 1))
 
-    # final agreement check between the rebuilt evaluator and snapped jet
-    cur = SkewGerm2D(cur.first, cur.fiber_expr, cur.jet2, chart=ORIGIN)
-    return cur, chain
+    return SkewGerm2D(F.first, fib, jet2, chart=ORIGIN), chain
 
 
 # ------------------------------------------------------ parameter readout

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ChartMismatch, NewtonDiverged, NonFiniteValue, NoValidRadius
 from .germs import Point2, SkewGerm2D
-from .sampling import region_points
+from .sampling import low_discrepancy, sector_values
 from .series import INFINITY, ORIGIN
 
 DEFAULT_OPENING = 3 * np.pi / 4
@@ -195,16 +195,20 @@ def choose_radius(G: SkewGerm2D) -> float:
     The incoming region must map one step forward with margin at least
     RADIUS_MARGIN at every sample; the outgoing region must do the same one
     step backward. Samples are drawn from the interior band the samplers
-    use, so a unit translation cannot produce false boundary failures.
+    use, so a unit translation cannot produce false boundary failures: the
+    unit-square points are drawn once, and every candidate and tag maps
+    them as region_points(region, RADIUS_SAMPLES, seed=0) would.
     """
     if G.chart != INFINITY:
         raise ChartMismatch("choose_radius works in the infinity chart")
+    pts = low_discrepancy(RADIUS_SAMPLES, 4, seed=0)
     for R in RADIUS_CANDIDATES:
         regions = make_regions(float(R), INFINITY)
         ok = True
         for tag, backward in (("i", False), ("o", True)):
             reg = regions[tag]
-            u, v = region_points(reg, RADIUS_SAMPLES, seed=0)
+            u = sector_values(reg.first, pts[:, 0], pts[:, 1])
+            v = sector_values(reg.second, pts[:, 2], pts[:, 3])
             try:
                 if backward:
                     u1, v1 = G.local_inverse(

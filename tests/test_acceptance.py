@@ -198,7 +198,7 @@ def test_06_general_pipeline_mixed_map():
 
 def test_07_decay_slope(quad):
     cfg = ConvergenceConfig(tol=1e-8)
-    tr = incoming_1d_trace(quad, 1, 10.0, 2000, cfg, corrected=False)
+    tr = incoming_1d_trace(quad, 1, 10.0, 2000, cfg)
     deltas = [abs(b - a) for a, b in zip(tr, tr[1:])]
     slope = decay_exponent(deltas)
     report("log-log decay slope of the incoming estimates",

@@ -286,6 +286,17 @@ class TestMain:
             assert (tmp_path / name).exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name", ["mixed_cubic", "mobius_cubic"])
+    def test_order_m_6(self, name, tmp_path, capsys):
+        """--order-M up to 10 builds a jet deep enough for raise_order."""
+        for args in (["normalize"], ["coord", "--tag", "i"]):
+            code = main([*args, "--map", str(MAPS / f"{name}.map"),
+                         "--order-M", "6", "--out", str(tmp_path)])
+            assert code == 0, args
+        rows = (tmp_path / "coord_i.csv").read_text().splitlines()
+        assert sum("converged" in row for row in rows) == 20
+        capsys.readouterr()
+
     def test_module_entry_point(self, tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "parafatou.cli", "normalize",

@@ -51,7 +51,7 @@ def G():
 
 def translation_2d():
     base = make_germ1d("z + 1", order=8, chart=INFINITY)
-    return SkewGerm2D(base, "w + 1", None, chart=INFINITY, check=False)
+    return SkewGerm2D(base, "w + 1", None, chart=INFINITY)
 
 
 def test_translation_short_circuits():

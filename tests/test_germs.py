@@ -47,7 +47,7 @@ def special_map(order=12):
 
 def translation_at_infinity(fiber="w + 1", order=8):
     base = make_germ1d("z + 1", order, chart=INFINITY)
-    return SkewGerm2D(base, fiber, None, chart=INFINITY, check=False)
+    return SkewGerm2D(base, fiber, None, chart=INFINITY)
 
 
 def test_point_aliases():

@@ -209,7 +209,7 @@ def test_classify_total_off_axes():
 
 def test_choose_radius_translation():
     base = make_germ1d("z + 1", 8, chart=INFINITY)
-    G = SkewGerm2D(base, "w + 1", None, chart=INFINITY, check=False)
+    G = SkewGerm2D(base, "w + 1", None, chart=INFINITY)
     assert choose_radius(G) == 10.0
 
 
@@ -238,7 +238,7 @@ def test_choose_radius_huge_coefficient():
     # large ones tame it
     wild = SkewGerm2D(
         base, "w + 1 + (-801144 + 598472i)/w^2", None,
-        chart=INFINITY, check=False)
+        chart=INFINITY)
     R = choose_radius(wild)
     assert R > 10.0
 
@@ -248,13 +248,13 @@ def test_choose_radius_middle_candidate():
     # the tail pushes R = 10's outgoing samples back across the sector
     # edge (minimum margin -3.24); at R = 20 it is 3.43
     G = SkewGerm2D(base, "w + 1 + (300+900i)/w^2", None,
-                   chart=INFINITY, check=False)
+                   chart=INFINITY)
     assert choose_radius(G) == 20.0
 
 
 def _translation_germ(fiber):
     base = make_germ1d("z + 1", 8, chart=INFINITY)
-    return SkewGerm2D(base, fiber, None, chart=INFINITY, check=False)
+    return SkewGerm2D(base, fiber, None, chart=INFINITY)
 
 
 def _pipeline_germ(path):
@@ -335,7 +335,7 @@ def test_choose_radius_decisions_match_per_point_inverse(make, arg):
 def test_no_valid_radius():
     base = make_germ1d("z + 1", 8, chart=INFINITY)
     # sign flip sends the incoming sector to its negative at every scale
-    bad = SkewGerm2D(base, "1 - w", None, chart=INFINITY, check=False)
+    bad = SkewGerm2D(base, "1 - w", None, chart=INFINITY)
     with pytest.raises(NoValidRadius):
         choose_radius(bad)
 

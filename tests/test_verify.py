@@ -234,7 +234,7 @@ def test_lambda_scaling(quad):
 
 def test_finite_n_translation_exact():
     base = make_germ1d("z + 1", order=8, chart=INFINITY)
-    T = SkewGerm2D(base, "w + 1", None, INFINITY, check=False)
+    T = SkewGerm2D(base, "w + 1", None, INFINITY)
     pts = [Point2(30 + 2j, 25 - 1j, INFINITY), Point2(50.0, 40.0, INFINITY)]
     rep = finite_n_identity_check(T, [1, 3, 10], pts)
     assert rep.max_residual == 0.0
