@@ -386,21 +386,9 @@ def cmd_basin_scan(cfg: RunConfig):
     labels = _combine_fates(fwd, bwd)
     labels[on_axis] = "axis"
 
-    regions = make_regions(cfg.epsilon, chart=ORIGIN)
-    masks = {tag: regions[tag].mask(zz, ww) & ~on_axis
-             for tag in ("i", "o", "a", "b")}
-    tag_of = np.full(zz.size, "", dtype="<U4")
-    for tag, mask in masks.items():
-        blank = tag_of == ""
-        tag_of[mask & blank] = tag
-    ambiguous = np.zeros(zz.size, dtype=bool)
-    for tag, mask in masks.items():
-        ambiguous |= mask & (tag_of != tag)
-    if ambiguous.any():
-        probe = np.flatnonzero(ambiguous)
-        for k in probe:
-            tag_of[k] = classify(
-                Point2(complex(zz[k]), complex(ww[k]), ORIGIN), regions) or ""
+    # no sector holds 0, so no axis cell gets a tag
+    tag_of = classify(Point2(zz, ww, ORIGIN),
+                      make_regions(cfg.epsilon, chart=ORIGIN))
 
     in_region = tag_of != ""
     matched = in_region & (labels == tag_of)

@@ -317,12 +317,21 @@ def raise_order(F: SkewGerm2D, M: int = DEFAULT_M
                 ) -> tuple[SkewGerm2D, ConjugacyChain]:
     """Remove fiber-jet terms below the degree-M pattern.
 
-    After success, the second-coordinate jet has zero coefficients on pure
-    z^k for 2 <= k < M and on z^k w for 1 <= k < M, exactly (the solved
-    entries are snapped once their residual clears 1e-12). Each eliminated
-    coefficient costs one shear (pure terms) or one fiber scaling (cross
-    terms); the target coefficient is affine in the step parameter, which
-    probe evaluations at c=0 and c=1 pin down.
+    Targets the pure z^k for 2 <= k < M and the z^k w for 1 <= k < M of
+    the second-coordinate jet. Each target z^j or z^j w costs one shear
+    (pure terms) or one fiber scaling (cross terms) of degree k = j - 1.
+    With the base z - z^2 + ... and no z w term in the fiber, its
+    parameter c moves the target by c*k and no other term of that degree:
+    the shear through -c*lambda(z)^k, the scaling through the division by
+    1 + c*lambda(z)^k. So c = -g/(j - 1) in closed form. That slope is
+    exact only up to the 1e-12 input gates on a2 + 1 and on the z w
+    coefficient, so up to three Newton steps with it refine c when the
+    target misses 1e-12.
+
+    Each target is snapped to zero once its residual clears 1e-12, but the
+    next step re-expands the whole fiber, which undoes earlier snaps: a
+    solved target comes back at the rounding level, and one only snapped
+    (below 1e-13) at its input size.
 
     The steps rewrite the fiber expression and its jet only; the result is
     the one germ built from them, and as an origin-chart product it checks
@@ -360,11 +369,7 @@ def raise_order(F: SkewGerm2D, M: int = DEFAULT_M
                 jet2 = _zeroed(jet2, j, k)
             continue
         make = Shear if k == 0 else FiberScale
-        probe = _apply_fiber_step(lam_e, fib, order, make(1.0, j - 1))[1]
-        slope = probe.coeff(j, k) - g0
-        if slope == 0:
-            raise WrongForm(f"coefficient z^{j} w^{k} does not respond "
-                            "to its elimination step")
+        slope = j - 1
         c_star = -g0 / slope
         nxt_fib, nxt_jet = _apply_fiber_step(lam_e, fib, order,
                                              make(c_star, j - 1))
@@ -464,6 +469,6 @@ def solve_log_shear(Gj: SkewGerm2D) -> LogShearParams:
             continue
         if j + m <= 1 and abs(c) > 1e-12:
             raise WrongForm(
-                f"unexpected weight-{j + m} term u^-{j} v^-{m} "
+                f"unexpected weight-{j + m} term u^{-j} v^{-m} "
                 f"(coefficient {c}) in the fiber expansion")
     return LogShearParams(lau.get((1, 0), 0j), lau.get((0, 1), 0j))

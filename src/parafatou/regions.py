@@ -146,47 +146,52 @@ class UNeighborhood:
 
 
 def make_regions(radius: float, chart: str = INFINITY,
-                 opening: float = DEFAULT_OPENING,
                  power_cap: int | None = None) -> dict[str, ProductRegion]:
-    """The four tagged product regions sharing one radius and opening."""
+    """The four tagged product regions sharing one radius, at the default
+    opening that the engines' sector guards and log branches assume."""
     out = {}
     for tag, (su, sv) in TAG_SIGNS.items():
         out[tag] = ProductRegion(
-            Sector(radius, opening, su, chart),
-            Sector(radius, opening, sv, chart),
+            Sector(radius, DEFAULT_OPENING, su, chart),
+            Sector(radius, DEFAULT_OPENING, sv, chart),
             tag,
             power_cap,
         )
     return out
 
 
-def _angular_distance(theta: float, center: float) -> float:
+def _angular_distance(theta, center: float):
     d = (theta - center + np.pi) % (2 * np.pi) - np.pi
-    return abs(d)
+    return np.abs(d)
 
 
-def classify(p: Point2, regions: dict[str, ProductRegion]) -> str | None:
+def classify(p: Point2, regions: dict[str, ProductRegion]):
     """Tag of the region containing p, or None (axes, gaps, out of range).
 
     Overlapping matches are broken toward the region whose sector centers
     are angularly nearest; remaining ties fall back to the fixed order
-    i, o, a, b.
+    i, o, a, b.  A point whose coordinates are arrays gets an array of
+    tags, with "" where no region holds.
     """
-    matches = [tag for tag in TAG_ORDER if regions[tag].contains(p)]
-    if not matches:
-        return None
-    if len(matches) == 1:
-        return matches[0]
-    tu = float(np.angle(complex(p.z)))
-    tv = float(np.angle(complex(p.w)))
-
-    def score(tag: str) -> tuple[float, int]:
+    z = np.asarray(p.z, dtype=complex)
+    w = np.asarray(p.w, dtype=complex)
+    tu = np.angle(z)
+    tv = np.angle(w)
+    tags = np.full(np.broadcast(z, w).shape, "", dtype="<U1")
+    best = np.full(tags.shape, np.inf)
+    for tag in TAG_ORDER:
         r = regions[tag]
+        if p.chart != r.chart:
+            raise ChartMismatch(
+                f"point in chart {p.chart!r}, region in {r.chart!r}")
         d = _angular_distance(tu, r.first.center) + _angular_distance(
             tv, r.second.center)
-        return (d, TAG_ORDER.index(tag))
-
-    return min(matches, key=score)
+        take = r.mask(z, w) & (d < best)
+        tags = np.where(take, tag, tags)
+        best = np.where(take, d, best)
+    if tags.ndim:
+        return tags
+    return str(tags) or None
 
 
 def choose_radius(G: SkewGerm2D) -> float:

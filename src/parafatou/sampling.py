@@ -38,11 +38,11 @@ def _radical_inverse(idx: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def halton(n: int, dim: int, start: int = 1) -> np.ndarray:
+def halton(n: int, dim: int) -> np.ndarray:
     """The first n Halton points in [0,1)^dim, skipping index 0."""
     if dim > len(_PRIMES):
         raise ValueError(f"dim at most {len(_PRIMES)}")
-    idx = np.arange(start, start + n, dtype=np.int64)
+    idx = np.arange(1, n + 1, dtype=np.int64)
     return np.column_stack(
         [_radical_inverse(idx, p) for p in _PRIMES[:dim]])
 

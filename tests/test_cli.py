@@ -80,6 +80,14 @@ class TestNormalize:
                      "--out", str(tmp_path)]) == 2
         assert "DegenerateQuadratic" in capsys.readouterr().err
 
+    def test_log_shear_refusal_names_the_monomial(self, tmp_path, capsys):
+        # a key with m < 0 is a positive power of v
+        assert main(["normalize", "--map", str(MAPS / "mixed_cubic.map"),
+                     "--order-M", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "parafatou: WrongForm: unexpected weight-1 term u^-2 v^1 "
+            "(coefficient (-0.25+0j)) in the fiber expansion\n")
+
     def test_missing_fiber_exit_2(self, tmp_path, capsys):
         path = write_map(tmp_path, "lambda = z - z^2\n")
         assert main(["normalize", "--map", path,

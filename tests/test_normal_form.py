@@ -32,6 +32,7 @@ from parafatou.expressions import (
     subst,
     to_series2,
 )
+from parafatou import normal_form
 from parafatou.normal_form import (
     BranchedLog,
     ConjugacyChain,
@@ -40,6 +41,7 @@ from parafatou.normal_form import (
     LogShear,
     Scaling,
     Shear,
+    _apply_fiber_step,
     _elimination_targets,
     compose_chains,
     extract_alpha,
@@ -201,10 +203,12 @@ class _StepGerm:
         self.jet2 = jet2
 
 
-def _oracle_raise_order(F, M):
-    """raise_order with one germ per probe, step and snap, the final one
-    checked: the reference the elimination on (fiber, jet) pairs must
-    reproduce."""
+def _oracle_raise_order(F, M, slope_of=None):
+    """raise_order with one germ per step and snap, the final one checked:
+    the reference the elimination on (fiber, jet) pairs must reproduce.
+
+    Each step's slope is the closed form j - 1, or slope_of(G, make, j, k)
+    measured on the current germ G when given."""
     def apply(G, step):
         lam_e = G.first.expr
         if isinstance(step, Shear):
@@ -240,9 +244,7 @@ def _oracle_raise_order(F, M):
                                 zeroed(cur.jet2, j, k))
             continue
         make = Shear if k == 0 else FiberScale
-        slope = apply(cur, make(1.0, j - 1)).jet2.coeff(j, k) - g0
-        if slope == 0:
-            raise WrongForm((j, k))
+        slope = j - 1 if slope_of is None else slope_of(cur, make, j, k)
         c_star = -g0 / slope
         nxt = apply(cur, make(c_star, j - 1))
         for _ in range(3):
@@ -266,8 +268,7 @@ def _map_germ(name):
     return parsed["lambda"], parsed["fiber"]
 
 
-@pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("lam, fib", [
+_ORACLE_GERMS = [
     _map_germ("mixed_cubic"),
     _map_germ("mobius_cubic"),
     ("z - z^2", "w - w^2 + z^3 + z^2*w + z*w^2"),
@@ -276,7 +277,13 @@ def _map_germ(name):
     ("z - z^2", "w - w^2 + 1e-10*z^3 + 1e-14*z^3*w"),
     ("z - z^2", "w - w^2 + z*w"),
     ("z - z^2", "w - w^2 + z^2"),
-], ids=["mixed_cubic", "mobius_cubic", "mixed", "tiny", "snap", "zw", "z2"])
+]
+_ORACLE_IDS = ["mixed_cubic", "mobius_cubic", "mixed", "tiny", "snap", "zw",
+               "z2"]
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("lam, fib", _ORACLE_GERMS, ids=_ORACLE_IDS)
 def test_raise_order_matches_germ_per_step_oracle(lam, fib, M):
     F, _ = normalize_quadratic(make_skew_germ(lam, fib, 2 * M + 4))
     try:
@@ -290,6 +297,71 @@ def test_raise_order_matches_germ_per_step_oracle(lam, fib, M):
     assert got[0].jet2.coeffs.tobytes() == want[0].jet2.coeffs.tobytes()
     assert got[1].describe() == want[1].describe()
     assert (got[0] is F) == (want[0] is F)
+
+
+def _probe_slope(G, make, j, k):
+    """The target's response to a unit step, measured by conjugating."""
+    jet = _apply_fiber_step(G.first.expr, G.fiber_expr, G.jet2.order,
+                            make(1.0, j - 1))[1]
+    return jet.coeff(j, k) - G.jet2.coeff(j, k)
+
+
+@pytest.mark.parametrize("M", range(2, 11))
+@pytest.mark.parametrize("lam, fib", _ORACLE_GERMS, ids=_ORACLE_IDS)
+def test_closed_form_slope_matches_probe(lam, fib, M):
+    F, _ = normalize_quadratic(make_skew_germ(lam, fib, 2 * M + 4))
+    slopes = []
+
+    def probe(G, make, j, k):
+        g0 = G.jet2.coeff(j, k)
+        slopes.append((j, g0, _probe_slope(G, make, j, k)))
+        return slopes[-1][2]
+
+    try:
+        want = _oracle_raise_order(F, M, slope_of=probe)
+    except WrongForm:
+        with pytest.raises(WrongForm):
+            raise_order(F, M)
+        return
+    # the probe reads a difference of two rounded coefficients, so its
+    # rounding scales with the larger of them
+    for j, g0, slope in slopes:
+        big = max(j - 1, abs(g0), abs(g0 + slope))
+        assert abs(slope - (j - 1)) <= 4 * np.spacing(big)
+    got = raise_order(F, M)[1].steps
+    assert [(type(s), s.k) for s in got] == [
+        (type(s), s.k) for s in want[1].steps]
+    for s, t in zip(got, want[1].steps):
+        assert abs(s.c - t.c) <= 1e-14 * abs(t.c)
+
+
+@pytest.mark.parametrize("M, steps", [(4, 3), (6, 7), (10, 15)])
+def test_raise_order_one_conjugation_per_term(monkeypatch, M, steps):
+    calls = []
+    real = normal_form._apply_fiber_step
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(normal_form, "_apply_fiber_step", counted)
+    F, _ = normalize_quadratic(
+        make_skew_germ(*_map_germ("mixed_cubic"), 2 * M + 4))
+    _, chain = raise_order(F, M)
+    assert len(chain) == steps
+    assert calls == list(reversed(chain.steps))
+
+
+def test_raise_order_refines_at_the_input_gates():
+    # a2 + 1 and the z w coefficient each sit just inside their 1e-12
+    # gates, so the closed-form slope misses the first target by more than
+    # 1e-12 and one refinement step is needed
+    F = make_skew_germ("z - 0.9999999999991*z^2",
+                       "w - w^2 - 9e-13*z*w + z^3 + z^2*w", 12)
+    assert normalize_quadratic(F)[0] is F
+    F2, chain = raise_order(F, M=4)
+    assert len(chain) == 3
+    check_chain_identity(F, F2, chain)
 
 
 # ------------------------------------------------------------ extract_alpha

@@ -204,6 +204,30 @@ def test_classify_total_off_axes():
     assert classify(Point2(0.0, 0.05), regs) is None
 
 
+@pytest.mark.parametrize("chart, radius, mags, caps", [
+    (ORIGIN, 0.1, (0.03, 0.07, 0.2), (None,)),
+    (INFINITY, 10.0, (5.0, 20.0, 40.0), (None, 2)),
+])
+def test_classify_arrays_match_scalars(chart, radius, mags, caps):
+    # angles at multiples of pi/8 put cells on the axes, on the 3pi/4 sector
+    # edges, and on the imaginary axis, where two sector centers tie exactly
+    ang = np.pi * np.arange(-8, 9) / 8
+    vals = np.concatenate([[0.0], (np.array(mags)[:, None]
+                                   * np.exp(1j * ang)).ravel()])
+    zz, ww = (a.ravel() for a in np.meshgrid(vals, vals))
+    for power_cap in caps:
+        regs = make_regions(radius, chart, power_cap=power_cap)
+        tags = classify(Point2(zz, ww, chart), regs)
+        assert tags.shape == zz.shape
+        want = [classify(Point2(complex(z), complex(w), chart), regs) or ""
+                for z, w in zip(zz, ww)]
+        assert tags.tolist() == want
+        assert {"i", "o", "a", "b", ""} <= set(want)
+    with pytest.raises(ChartMismatch):
+        classify(Point2(zz, ww, ORIGIN if chart == INFINITY else INFINITY),
+                 regs)
+
+
 # ------------------------------------------------------------- choose_radius
 
 
