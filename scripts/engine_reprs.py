@@ -18,7 +18,9 @@ scalars print as the Python numbers they equal.  The calls:
 - the four tags at tol 1e-6 on a special-form germ whose fiber maps
   depend on the base, ``z/(1+z)``, ``w - w^2 + w^3 + z^2*w^2``;
 - tag i on ``maps/mixed_cubic.map`` at tol 5e-7, at sampled points and
-  their images, and tags o, a, b there at n_max 600 and 2;
+  their images, and at tol 1e-8 at two of those points, whose late stages
+  start their shear solves within the solve's tolerance; tags o, a, b
+  there at n_max 600 and 2;
 - the four special engines on the Moebius germ upstairs, at the default
   config and at n_max 2, and the four finite stages on that germ, its
   dual step and the mixed germ, at n = 1, 3 and 10;
@@ -26,12 +28,16 @@ scalars print as the Python numbers they equal.  The calls:
 - ``incoming_1d``, ``outgoing_1d``, ``duality_check`` and
   ``direct_branch_check`` on one-variable germs.
 
-One run takes about 5 s on a 2-vCPU machine.  To compare two
-checkouts:
+One run writes 269 lines and takes about 6 s on a 2-vCPU machine.  To
+compare two checkouts:
 
     python3 scripts/engine_reprs.py old/ /tmp/old.txt
     python3 scripts/engine_reprs.py new/ /tmp/new.txt
     diff /tmp/old.txt /tmp/new.txt
+
+A change that may move last bits is compared with ``scripts/numdiff.py``
+instead of ``diff``: it separates lines that differ only in floating-point
+numbers, with their largest difference, from every other difference.
 """
 
 from __future__ import annotations
@@ -187,6 +193,12 @@ def main(argv) -> int:
         for side, q in (("point", p), ("image", mixed.germ.evaluate(p))):
             record(f"mixed i tol5e-7 #{k} {side}",
                    lambda: general_fatou(mixed, "i", q, coarse))
+    # long enough that the late stages' shear solves start within their
+    # own tolerance of the root, so the rerun from the germ fiber shows
+    deep = ConvergenceConfig(tol=1e-8)
+    for k, p in enumerate(sampled(mixed, "i", 5, 11)[:2]):
+        record(f"mixed i tol1e-8 #{k} point",
+               lambda: general_fatou(mixed, "i", p, deep))
     for tag in "oab":
         for n_max in (600, 2):
             cfg = ConvergenceConfig(tol=5e-7, n_max=n_max)

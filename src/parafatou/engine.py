@@ -48,10 +48,14 @@ stopping rule of every limit along one forward orbit (the incoming
 coordinates, whose one-variable inverse is the outgoing one);
 `_checkpoint_limit` holds it for the recomposed stages.
 `_incoming_inverse` is the one inverse of the incoming coordinate, behind
-psi's forward map, `outgoing_1d` and `verify.duality_check`.  `_orbit`
-and `_fiber_orbit` walk a recomposed stage and raise `_Escaped` where an
-iterate leaves its sector.  `_special_form` is the one test of the
-special form, for the public special engines and for the pipeline.
+psi's forward map, `outgoing_1d` and `verify.duality_check`.
+`_outside_sector` is the one sector test: it builds a center's predicate,
+which a limit builds once and calls at every step.  `_orbit` and
+`_fiber_orbit` walk a recomposed stage with it and raise `_Escaped` where
+an iterate leaves its sector; the general tag-i limit, whose every step
+is one stage, steps the germ itself and checks each iterate with the same
+predicates.  `_special_form` is the one test of the special form, for the
+public special engines and for the pipeline.
 """
 
 from __future__ import annotations
@@ -254,14 +258,23 @@ def abel_corrections(jet: TruncatedSeries1, alpha: complex,
 # ----------------------------------------------------------- small helpers
 
 
-def _outside_sector(x, cfg: ConvergenceConfig, center: float) -> bool:
-    """Whether the number x leaves the sector of center: radius, divergence
-    or angle."""
-    ax = abs(x)
-    if (not math.isfinite(ax) or ax < 0.5 * cfg.radius
-            or ax > _DIVERGENCE_GUARD):
-        return True
-    return abs(cmath.phase(x * rotation(center))) > DEFAULT_OPENING
+def _outside_sector(cfg: ConvergenceConfig, center: float):
+    """The sector test of center: a predicate, true where a number leaves
+    the sector by radius (below cfg.radius/2), divergence or angle.
+
+    The turn and the radius bound are computed once here, so a limit builds
+    its tests once and calls them at every step.
+    """
+    turn = rotation(center)
+    inner = 0.5 * cfg.radius
+
+    def outside(x) -> bool:
+        ax = abs(x)
+        if not math.isfinite(ax) or ax < inner or ax > _DIVERGENCE_GUARD:
+            return True
+        return abs(cmath.phase(x * turn)) > DEFAULT_OPENING
+
+    return outside
 
 
 def _centers(tag: str) -> tuple[float, float]:
@@ -334,9 +347,12 @@ def _corrected_fiber_limit(fiber_step, u0, v0, cors: Corrections,
     Each v_n is checked in the sector of log.center; with base_center, each
     base point u0 + n is checked in that sector too, from n = 0.
     """
+    outside_v = _outside_sector(cfg, log.center)
+    outside_u = (_outside_sector(cfg, base_center)
+                 if base_center is not None else None)
+
     def outside(u, v):
-        return _outside_sector(v, cfg, log.center) or (
-            base_center is not None and _outside_sector(u, cfg, base_center))
+        return outside_v(v) or (outside_u is not None and outside_u(u))
 
     if outside(u0, v0):
         return FatouValue(v0, 0, float("inf"), ESCAPED)
@@ -383,9 +399,10 @@ def _checkpoint_limit(stage_value, cfg: ConvergenceConfig) -> FatouValue:
 def _orbit(G: SkewGerm2D, q: Point2, n: int, cfg: ConvergenceConfig,
            cu: float, cv: float) -> Point2:
     """n steps of G from q, each coordinate checked in its sector."""
+    outside_u, outside_v = _outside_sector(cfg, cu), _outside_sector(cfg, cv)
     for k in range(n):
         q = G.evaluate(q)
-        if _outside_sector(q.z, cfg, cu) or _outside_sector(q.w, cfg, cv):
+        if outside_u(q.z) or outside_v(q.w):
             raise _Escaped((q.z, q.w), k + 1)
     return q
 
@@ -398,10 +415,11 @@ def _fiber_orbit(G: SkewGerm2D, t0, w, n: int, cfg: ConvergenceConfig,
     point reached, t0 + 1, ..., t0 + n, in the sector of base_center; the
     walk stops at the first step where either leaves.
     """
+    outside_v = _outside_sector(cfg, center)
+    outside_u = _outside_sector(cfg, base_center)
     for k in range(1, n + 1):
         w = G.fiber(t0 + (k - 1), w)
-        if (_outside_sector(w, cfg, center)
-                or _outside_sector(t0 + k, cfg, base_center)):
+        if outside_v(w) or outside_u(t0 + k):
             raise _Escaped(w, k)
     return w
 
@@ -423,7 +441,7 @@ def incoming_1d(g: Germ1D, alpha: complex, w, cfg: ConvergenceConfig = None,
     cfg = cfg or DEFAULT_CONFIG
     log = log or BranchedLog(0.0)
     w = complex(w)
-    if _outside_sector(w, cfg, log.center):
+    if _outside_sector(cfg, log.center)(w):
         return FatouValue(w, 0, float("inf"), ESCAPED)
     if alpha == 0 and _translation_jet(g.jet) and g(w) - w == 1:
         return FatouValue(w, 1, 0.0, CONVERGED)
@@ -445,11 +463,12 @@ def incoming_1d_trace(g: Germ1D, alpha: complex, w, n_steps: int,
     cfg = cfg or DEFAULT_CONFIG
     log = log or BranchedLog(0.0)
     cors = Corrections(complex(alpha), ())
+    outside = _outside_sector(cfg, log.center)
     x = complex(w)
     out = [cors.phi(x, log)]
     for n in range(1, n_steps + 1):
         x = g(x)
-        if _outside_sector(x, cfg, log.center):
+        if outside(x):
             break
         out.append(cors.phi(x, log) - n)
     return out
@@ -654,7 +673,7 @@ def _special_stages(G: SkewGerm2D, ginf: Germ1D, p: Point2,
     cors = abel_corrections(ginf.jet, ginf.jet.coeff(1))
     log = BranchedLog(cv)
     u0, v0 = p.z, p.w
-    if _outside_sector(v0, cfg, cv):
+    if _outside_sector(cfg, cv)(v0):
         return FatouValue(v0, 0, float("inf"), ESCAPED)
 
     def phi(x):
@@ -870,29 +889,55 @@ def _general_incoming(pipe: GeneralConjugacy, p: Point2,
                       cfg: ConvergenceConfig) -> FatouValue:
     """The nested limit of tag i's stages along the forward orbit of p.
 
-    phi(F^k p) = phi(p) + (k, k), so a start whose phi1 + k lies off the
-    shear's base log branch may begin the limit k steps down its orbit
-    instead, once phi1 + k is on it.
+    phi(F^k p) = phi(p) + (k, k), so the limit may begin k steps down the
+    orbit of p: while phi1 + k lies off the shear's base log branch, and
+    while the first stage's shear solve leaves its fiber log branch from
+    an orbit point inside both of tag i's sectors (up to cfg.n_max steps).
+    A start outside its sectors whose solve leaves the branch raises
+    ChainDomainError.
+
+    Stage n solves the shear for its model fiber from stage n - 1's model
+    fiber plus 1, which lies within that stage's delta of the new root, so
+    most stages take one Newton step; `LogShear.inverse` reruns a solve
+    from the germ fiber when the guess needs no step at all.
     """
     G = pipe.germ
     shear = pipe.shears["i"]
     cu, cv = _centers("i")
+    outside_u, outside_v = _outside_sector(cfg, cu), _outside_sector(cfg, cv)
     q, k = p, 0
     try:
         phi1 = pipe.psi1.backward(p.z)
         while shear.alpha != 0 and _off_branch(shear.log_u, _moved(phi1, k)):
             q = _orbit(G, q, 1, cfg, cu, cv)
             k += 1
-        first = _stage_end(shear, "i", phi1, q.w, k)
+        while True:
+            try:
+                first = _stage_end(shear, "i", phi1, q.w, k)
+                break
+            except ChainDomainError:
+                if k >= cfg.n_max or outside_u(q.z) or outside_v(q.w):
+                    raise
+            q = _orbit(G, q, 1, cfg, cu, cv)
+            k += 1
     except NewtonDiverged:
         return FatouValue((p.z, p.w), 0, float("inf"), ESCAPED)
     except _Escaped:
         return FatouValue((p.z, p.w), k + 1, float("inf"), ESCAPED)
 
+    # looked up once per limit call, not when the pipeline is built, so a
+    # wrapper set on SkewGerm2D or LogShear still sees every step
+    evaluate, inverse = G.evaluate, shear.inverse
+    root = first + k
+
     def estimate(m):
-        nonlocal q
-        q = _orbit(G, q, 1, cfg, cu, cv)
-        return _stage_end(shear, "i", phi1, q.w, k + m)
+        nonlocal q, root
+        q = evaluate(q)
+        if outside_u(q.z) or outside_v(q.w):
+            raise _Escaped((q.z, q.w), 1)
+        n = k + m
+        root = inverse(Point2(phi1 + n, q.w, INFINITY), root + 1).w
+        return root - n
 
     fv = _nested_limit(estimate, first, cfg)
     return FatouValue((phi1, fv.value), fv.iterations + k, fv.last_delta,

@@ -57,7 +57,7 @@ from .series import (
 _CHECK_ANGLES = (0.37, 1.91, 3.43, 5.08)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point2:
     """A point in C^2 tagged with the chart its coordinates refer to."""
 
@@ -106,10 +106,11 @@ def _diverged(reason: str, x, target) -> NewtonDiverged:
 def newton(f, df, target, guess, tol):
     """Solve f(x) = target by steps x - r/d, r = f(x) - target, from guess.
 
-    Returns the first x with |r| <= tol. Raises NewtonDiverged with the
-    last iterate and a reason: "flat" for a zero, infinite or nan
-    derivative, "bound" for an iterate beyond
-    NEWTON_BOUND * max(1, |guess|), "steps" after NEWTON_STEPS steps.
+    Returns the first x with |r| <= tol, the guess object itself when the
+    guess passes. Raises NewtonDiverged with the last iterate and a
+    reason: "flat" for a zero, infinite or nan derivative, "bound" for an
+    iterate beyond NEWTON_BOUND * max(1, |guess|), "steps" after
+    NEWTON_STEPS steps.
 
     A numpy-array guess is solved element by element, with target and tol
     scalars or arrays of its shape: an element is done at its first
@@ -348,9 +349,9 @@ class SkewGerm2D:
         if p.chart != self.chart:
             raise ChartMismatch(
                 f"point in chart {p.chart!r}, germ in {self.chart!r}")
-        z1 = self.first(p.z)
+        z1 = self.first(p.z)  # Germ1D refuses a non-finite value itself
         w1 = self.fiber(p.z, p.w)
-        if not (_finite(z1) and _finite(w1)):
+        if not _finite(w1):
             raise NonFiniteValue(f"evaluation at {p.as_tuple()}")
         return Point2(z1, w1, self.chart)
 

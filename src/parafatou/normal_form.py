@@ -56,16 +56,17 @@ class BranchedLog:
 
     The argument is a Python or numpy scalar.  It is turned by the cached
     ``rotation(center)``, its angle and log are taken by ``cmath``, and the
-    value is a Python complex.
+    value is a Python complex; the shift 1j * center is computed once.
     """
 
-    __slots__ = ("center", "_turn")
+    __slots__ = ("center", "_turn", "_shift")
 
     _DOMAIN = 0.75 * np.pi + 1e-9
 
     def __init__(self, center: float = 0.0):
         self.center = float(center)
         self._turn = rotation(self.center)
+        self._shift = 1j * self.center
 
     def __call__(self, xi) -> complex:
         y = xi * self._turn
@@ -74,7 +75,7 @@ class BranchedLog:
                 f"argument left the log branch centered at {self.center:g}")
         if y == 0:
             raise ChainDomainError("0 lies on no log branch")
-        return cmath.log(y) + 1j * self.center
+        return cmath.log(y) + self._shift
 
     def __repr__(self):
         return f"BranchedLog(center={self.center})"
@@ -179,12 +180,27 @@ class LogShear:
             v = v + self.beta * self.log_v(p.w)
         return Point2(p.z, v, p.chart)
 
-    def inverse(self, p: Point2) -> Point2:
+    def inverse(self, p: Point2, guess=None) -> Point2:
+        """Solve forward(q) = p for q, whose fiber x solves
+        x + beta log_v(x) = p.w - alpha log_u(p.z) by `invert_log_shift`.
+
+        The solve starts from guess, or from p.w when guess is None.  A
+        guess the solve accepts with no Newton step is discarded and the
+        solve rerun from p.w: an orbit limit that guesses each stage from
+        the last would otherwise read the unrefined guess back, a delta of
+        exactly 0, and stop early.  With beta = 0 there is nothing to solve
+        and guess is ignored.
+        """
         target = p.w
         if self.alpha != 0:
             target = target - self.alpha * self.log_u(p.z)
         if self.beta == 0:
             return Point2(p.z, target, p.chart)
+        if guess is not None:
+            w = invert_log_shift(target, self.beta, self.log_v, guess)
+            # newton returns its guess object itself when it takes no step
+            if w is not guess:
+                return Point2(p.z, w, p.chart)
         w = invert_log_shift(target, self.beta, self.log_v, p.w)
         return Point2(p.z, w, p.chart)
 

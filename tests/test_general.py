@@ -8,7 +8,14 @@ from parafatou.engine import (
     CONVERGED,
     MAX_ITER,
     ConvergenceConfig,
+    FatouValue,
+    _centers,
     _finite_stage,
+    _moved,
+    _nested_limit,
+    _off_branch,
+    _orbit,
+    _stage_end,
     build_general_pipeline,
     conjugated_fiber_limit,
     general_fatou,
@@ -18,7 +25,7 @@ from parafatou.engine import (
 )
 from parafatou.errors import ChainDomainError, ChartMismatch
 from parafatou.germs import INFINITY, ORIGIN, Point2, make_skew_germ
-from parafatou.normal_form import Scaling
+from parafatou.normal_form import BranchedLog, Scaling
 from parafatou.sampling import region_points
 from parafatou.verify import abel_residuals, parametrization_residuals
 
@@ -297,3 +304,94 @@ def test_sampled_incoming_starts_are_not_refused(pipe_mixed_coarse):
                 assert fv.verdict == MAX_ITER
                 skipped += fv.iterations - 1
     assert skipped == 3
+
+
+def _cold_incoming(pipe, p, cfg):
+    """Tag i's limit with every shear solve started from the germ fiber, as
+    before the warm start: the oracle of the warm-start tests."""
+    cfg = replace(cfg, radius=pipe.radius)
+    G, shear = pipe.germ, pipe.shears["i"]
+    cu, cv = _centers("i")
+    q, k = p, 0
+    phi1 = pipe.psi1.backward(p.z)
+    while shear.alpha != 0 and _off_branch(shear.log_u, _moved(phi1, k)):
+        q = _orbit(G, q, 1, cfg, cu, cv)
+        k += 1
+    first = _stage_end(shear, "i", phi1, q.w, k)
+
+    def estimate(m):
+        nonlocal q
+        q = _orbit(G, q, 1, cfg, cu, cv)
+        return _stage_end(shear, "i", phi1, q.w, k + m)
+
+    fv = _nested_limit(estimate, first, cfg)
+    return FatouValue((phi1, fv.value), fv.iterations + k, fv.last_delta,
+                      fv.verdict)
+
+
+@pytest.fixture(scope="module")
+def seed1_points(pipe_mixed_coarse):
+    u, v = region_points(pipe_mixed_coarse.regions["i"], 6, 1)
+    return [Point2(complex(a), complex(b), INFINITY) for a, b in zip(u, v)]
+
+
+def test_warm_start_matches_the_cold_start(pipe_mixed_coarse, seed1_points):
+    pipe = pipe_mixed_coarse
+    for p in seed1_points:
+        for q in (p, pipe.germ.evaluate(p)):
+            new = general_fatou(pipe, "i", q, COARSE)
+            old = _cold_incoming(pipe, q, COARSE)
+            assert (new.iterations, new.verdict) == (old.iterations,
+                                                     old.verdict), q
+            for a, b in zip(new.value, old.value):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), q
+
+
+def test_warm_start_does_not_stop_early(pipe_mixed_coarse, seed1_points):
+    # from about stage 15k on, stage n - 1's fiber plus 1 already solves
+    # stage n's shear within the solve's tolerance; read back unrefined,
+    # it would make the delta exactly 0 and stop these limits elsewhere
+    pipe = pipe_mixed_coarse
+    cfg = ConvergenceConfig(tol=1e-8)
+    for p in seed1_points[:2]:
+        new = general_fatou(pipe, "i", p, cfg)
+        old = _cold_incoming(pipe, p, cfg)
+        assert new.verdict == old.verdict == CONVERGED
+        assert new.iterations == old.iterations
+        assert new.last_delta != 0
+
+
+def test_warm_start_work_count(pipe_mixed_coarse, seed1_points, monkeypatch):
+    # one log for the base, one per residual of the shear's Newton solve:
+    # 4.01 a step with the solve started at the germ fiber, about 3 warm
+    calls = 0
+    plain = BranchedLog.__call__
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return plain(self, x)
+
+    monkeypatch.setattr(BranchedLog, "__call__", counted)
+    steps = 0
+    for p in seed1_points:
+        fv = general_fatou(pipe_mixed_coarse, "i", p, COARSE)
+        assert fv.verdict == CONVERGED
+        steps += fv.iterations
+    assert calls / steps <= 3.05
+
+
+def test_incoming_start_past_the_fiber_log_branch(pipe_mixed_coarse):
+    # a sampled region-i start whose first shear solve has its root at arg
+    # 135.46 degrees, past the 3pi/4 fiber log branch; the limit starts
+    # one orbit step later instead of refusing
+    pipe = pipe_mixed_coarse
+    p = Point2(-4.821204029726774 - 11.727508875115658j,
+               -6.804305547528878 + 11.13319594586721j, INFINITY)
+    assert pipe.regions["i"].contains(p)
+    with pytest.raises(ChainDomainError):
+        _stage_end(pipe.shears["i"], "i", pipe.psi1.backward(p.z), p.w, 0)
+    assert general_fatou(pipe, "i", p, COARSE).verdict == CONVERGED
+    rep = abel_residuals(lambda q: general_fatou(pipe, "i", q, COARSE),
+                         pipe.germ, (1, 1), [p], threshold=1e-6, cfg=COARSE)
+    assert rep.passed and rep.max_residual < 1e-6, rep.failures

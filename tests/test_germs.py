@@ -315,14 +315,15 @@ def test_outside_sector_verdicts(center):
         (at(50.0, -edge + 1e-9), False),
         (at(50.0, -edge - 1e-9), True),
     ]
+    outside = _outside_sector(cfg, center)
     for x, verdict in cases:
-        assert _outside_sector(x, cfg, center) is verdict, x
-        assert _outside_sector(np.complex128(x), cfg, center) is verdict, x
+        assert outside(x) is verdict, x
+        assert outside(np.complex128(x)) is verdict, x
     # integers take the scalar path and give a Python bool too
     sign = round(math.cos(center))
     for x, verdict in ((50 * sign, False), (-50 * sign, True), (4, True),
                        (np.int64(50 * sign), False), (0, True)):
-        assert _outside_sector(x, cfg, center) is verdict, x
+        assert outside(x) is verdict, x
 
 
 @pytest.mark.parametrize("reason, f, df, target, guess, tol", [

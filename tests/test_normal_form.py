@@ -45,6 +45,7 @@ from parafatou.normal_form import (
     _elimination_targets,
     compose_chains,
     extract_alpha,
+    invert_log_shift,
     normalize_quadratic,
     raise_order,
     rotation,
@@ -534,6 +535,60 @@ def test_log_shear_inverse_refuses_flat_derivative(w):
         shear.inverse(Point2(-5, w, INFINITY))
     assert exc.value.reason == "flat"
     assert exc.value.last_value == w
+
+
+# mixed_cubic's shear parameters, on tag i's branches
+_SHEAR = LogShear(-19 / 24, 1.0, BranchedLog(0.0), BranchedLog(0.0))
+_SHEAR_POINTS = [Point2(2712.4 - 10.9j, 2724.8 + 3.1j, INFINITY),
+                 Point2(40.0 + 5j, 35.0 - 4j, INFINITY),
+                 Point2(13.0 - 11.5j, -6.8 + 11.1j, INFINITY)]
+
+
+def _shear_target(shear, p):
+    return p.w - shear.alpha * shear.log_u(p.z)
+
+
+@pytest.mark.parametrize("p", _SHEAR_POINTS)
+def test_log_shear_inverse_without_guess_starts_at_the_fiber(p):
+    got = _SHEAR.inverse(p)
+    want = invert_log_shift(_shear_target(_SHEAR, p), 1.0, _SHEAR.log_v, p.w)
+    assert got.w == want and got.z == p.z
+    assert _SHEAR.inverse(p, None) == got
+
+
+@pytest.mark.parametrize("p", _SHEAR_POINTS)
+def test_log_shear_inverse_reruns_an_accepted_guess(p):
+    """A guess the solve accepts as it stands is replaced by the solve
+    from p.w, so an orbit limit never reads an unrefined guess back."""
+    cold = _SHEAR.inverse(p).w
+    tol = 1e-12 * max(1.0, abs(_shear_target(_SHEAR, p)))
+    guess = cold + 0.1 * tol
+    assert guess != cold
+    assert abs(guess + _SHEAR.log_v(guess) - _shear_target(_SHEAR, p)) <= tol
+    assert _SHEAR.inverse(p, guess).w == cold
+
+
+@pytest.mark.parametrize("p", _SHEAR_POINTS)
+def test_log_shear_inverse_from_a_near_guess_round_trips(p):
+    cold = _SHEAR.inverse(p).w
+    for guess in (cold + 1e-3, cold - 0.5j, cold * (1 + 1e-6)):
+        q = _SHEAR.inverse(p, guess)
+        assert q.z == p.z
+        back = _SHEAR.forward(q)
+        assert abs(back.w - p.w) <= 1e-12 * max(1.0, abs(p.w))
+
+
+def test_log_shear_inverse_refuses_a_zero_guess():
+    with pytest.raises(NewtonDiverged) as exc:
+        _SHEAR.inverse(_SHEAR_POINTS[1], 0j)
+    assert exc.value.reason == "flat"
+
+
+def test_log_shear_inverse_ignores_the_guess_without_beta():
+    shear = LogShear(-19 / 24, 0, BranchedLog(0.0), BranchedLog(0.0))
+    p = _SHEAR_POINTS[1]
+    for guess in (None, 0j, 7.0 + 1j):
+        assert shear.inverse(p, guess) == shear.inverse(p)
 
 
 def _outcome(log, x):
