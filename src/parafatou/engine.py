@@ -50,12 +50,15 @@ coordinates, whose one-variable inverse is the outgoing one);
 `_incoming_inverse` is the one inverse of the incoming coordinate, behind
 psi's forward map, `outgoing_1d` and `verify.duality_check`.
 `_outside_sector` is the one sector test: it builds a center's predicate,
-which a limit builds once and calls at every step.  `_orbit` and
-`_fiber_orbit` walk a recomposed stage with it and raise `_Escaped` where
-an iterate leaves its sector; the general tag-i limit, whose every step
-is one stage, steps the germ itself and checks each iterate with the same
-predicates.  `_special_form` is the one test of the special form, for the
-public special engines and for the pipeline.
+which a limit builds once and calls at every step, on a number or on a
+numpy array of them.  `_orbit` and `_fiber_orbit` walk a recomposed stage
+with it and raise `_Escaped` where an iterate leaves its sector; the
+general tag-i limit, whose every step is one stage, steps the germ itself
+in blocks of iterates (`_block_stages`), tests each block with the same
+predicates in one array call per coordinate, and solves the block's
+stages in one array call of the shear's inverse.  `_special_form` is the
+one test of the special form, for the public special engines and for the
+pipeline.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ from .normal_form import (
     Inversion,
     LogShear,
     LogShearParams,
+    angle_past,
     compose_chains,
     extract_alpha,
     invert_log_shift,
@@ -95,6 +99,7 @@ from .normal_form import (
     raise_order,
     rotation,
     solve_log_shear,
+    turned,
     DEFAULT_M,
 )
 from .regions import (
@@ -263,12 +268,21 @@ def _outside_sector(cfg: ConvergenceConfig, center: float):
     the sector by radius (below cfg.radius/2), divergence or angle.
 
     The turn and the radius bound are computed once here, so a limit builds
-    its tests once and calls them at every step.
+    its tests once and calls them at every step.  On a numpy array the
+    predicate gives each element's scalar verdict as a boolean array: the
+    modulus is the scalar's hypot, the turn `turned` and the angle test
+    `angle_past`.
     """
     turn = rotation(center)
     inner = 0.5 * cfg.radius
 
     def outside(x) -> bool:
+        if type(x) is np.ndarray:
+            with np.errstate(invalid="ignore"):
+                ax = np.hypot(x.real, x.imag)
+                out = ((ax < inner) | (ax > _DIVERGENCE_GUARD)
+                       | ~np.isfinite(ax))
+                return out | angle_past(turned(x, turn), DEFAULT_OPENING)
         ax = abs(x)
         if not math.isfinite(ax) or ax < inner or ax > _DIVERGENCE_GUARD:
             return True
@@ -885,6 +899,65 @@ def _stage_end(shear: LogShear, tag: str, z0, w, n: int):
     return _moved(shear.inverse(Point2(base, w, INFINITY)).w, ev * n)
 
 
+# Tag i's general limit steps its orbit this many points ahead of the
+# stages it has read, and solves their shears in one numpy call.
+_STAGE_BLOCK = 256
+
+
+def _block_stages(evaluate, inverse, outside_u, outside_v, q: Point2, phi1,
+                  k: int, count: int):
+    """Tag i's stage values k + 1, ..., k + count along the orbit of q.
+
+    Stage n is inverse(phi1 + n, w_n).w - n, with w_n the fiber of the
+    orbit's n-th point (q is its k-th).  The orbit is stepped by evaluate
+    in blocks of up to _STAGE_BLOCK points, never past stage k + count; an
+    evaluation that raises NonFiniteValue ends its block there.  Each block
+    is tested against both sectors in one array call per coordinate, and
+    the stages before its first point outside them are solved in one array
+    call of inverse, each from its germ fiber.  The values are yielded one
+    stage at a time, and each failure is raised at its own stage: _Escaped
+    at the first point outside, the evaluation's error after the last stage
+    before it.  When the array solve raises ChainDomainError,
+    NewtonDiverged or NonFiniteValue, the block's stages are solved one at
+    a time by the scalar path as they are read: a stage then fails at the
+    step and in the way it fails when solved alone, and a failure past the
+    limit's stop is never reached.
+    """
+    n, end = k, k + count
+    while n < end:
+        zs, ws, failure = [], [], None
+        for _ in range(min(_STAGE_BLOCK, end - n)):
+            try:
+                q = evaluate(q)
+            except NonFiniteValue as exc:
+                failure = exc
+                break
+            zs.append(q.z)
+            ws.append(q.w)
+        w = np.array(ws, complex)
+        left = np.flatnonzero(outside_u(np.array(zs, complex))
+                              | outside_v(w))
+        inside = int(left[0]) if left.size else len(ws)
+        values = None
+        if inside:
+            ns = np.arange(n + 1, n + 1 + inside)
+            try:
+                roots = inverse(Point2(phi1 + ns, w[:inside], INFINITY)).w
+                values = (roots - ns).tolist()
+            except (ChainDomainError, NewtonDiverged, NonFiniteValue):
+                pass
+        for j in range(inside):
+            n += 1
+            if values is None:
+                yield inverse(Point2(phi1 + n, ws[j], INFINITY)).w - n
+            else:
+                yield values[j]
+        if inside < len(ws):
+            raise _Escaped((zs[inside], ws[inside]), 1)
+        if failure is not None:
+            raise failure
+
+
 def _general_incoming(pipe: GeneralConjugacy, p: Point2,
                       cfg: ConvergenceConfig) -> FatouValue:
     """The nested limit of tag i's stages along the forward orbit of p.
@@ -896,10 +969,12 @@ def _general_incoming(pipe: GeneralConjugacy, p: Point2,
     A start outside its sectors whose solve leaves the branch raises
     ChainDomainError.
 
-    Stage n solves the shear for its model fiber from stage n - 1's model
-    fiber plus 1, which lies within that stage's delta of the new root, so
-    most stages take one Newton step; `LogShear.inverse` reruns a solve
-    from the germ fiber when the guess needs no step at all.
+    The first stage is solved alone; the later ones come from
+    `_block_stages`, which solves them by blocks along the orbit, each
+    stage's shear from its germ fiber.  `_nested_limit` reads them one at
+    a time, so the stopping rule, the verdicts and the iteration counts
+    are those of solving each stage alone; the orbit runs at most
+    _STAGE_BLOCK - 1 evaluations past the stop.
     """
     G = pipe.germ
     shear = pipe.shears["i"]
@@ -926,20 +1001,10 @@ def _general_incoming(pipe: GeneralConjugacy, p: Point2,
         return FatouValue((p.z, p.w), k + 1, float("inf"), ESCAPED)
 
     # looked up once per limit call, not when the pipeline is built, so a
-    # wrapper set on SkewGerm2D or LogShear still sees every step
-    evaluate, inverse = G.evaluate, shear.inverse
-    root = first + k
-
-    def estimate(m):
-        nonlocal q, root
-        q = evaluate(q)
-        if outside_u(q.z) or outside_v(q.w):
-            raise _Escaped((q.z, q.w), 1)
-        n = k + m
-        root = inverse(Point2(phi1 + n, q.w, INFINITY), root + 1).w
-        return root - n
-
-    fv = _nested_limit(estimate, first, cfg)
+    # wrapper set on SkewGerm2D or LogShear still sees every call
+    stages = _block_stages(G.evaluate, shear.inverse, outside_u, outside_v,
+                           q, phi1, k, cfg.n_max)
+    fv = _nested_limit(lambda m: next(stages), first, cfg)
     return FatouValue((phi1, fv.value), fv.iterations + k, fv.last_delta,
                       fv.verdict)
 

@@ -106,11 +106,10 @@ def _diverged(reason: str, x, target) -> NewtonDiverged:
 def newton(f, df, target, guess, tol):
     """Solve f(x) = target by steps x - r/d, r = f(x) - target, from guess.
 
-    Returns the first x with |r| <= tol, the guess object itself when the
-    guess passes. Raises NewtonDiverged with the last iterate and a
-    reason: "flat" for a zero, infinite or nan derivative, "bound" for an
-    iterate beyond NEWTON_BOUND * max(1, |guess|), "steps" after
-    NEWTON_STEPS steps.
+    Returns the first x with |r| <= tol. Raises NewtonDiverged with the
+    last iterate and a reason: "flat" for a zero, infinite or nan
+    derivative, "bound" for an iterate beyond
+    NEWTON_BOUND * max(1, |guess|), "steps" after NEWTON_STEPS steps.
 
     A numpy-array guess is solved element by element, with target and tol
     scalars or arrays of its shape: an element is done at its first

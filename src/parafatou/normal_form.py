@@ -44,6 +44,34 @@ def rotation(center: float) -> complex:
     return complex(np.exp(-1j * center))
 
 
+def turned(x: np.ndarray, turn: complex) -> np.ndarray:
+    """x * turn elementwise, rounded as Python's complex product rounds.
+
+    numpy's complex product may fuse its multiply-adds, which moves last
+    bits; the four real products and two sums here are the ones Python
+    computes, so a turned array holds the bits of the turned scalars.
+    """
+    y = np.empty(x.shape, complex)
+    y.real = x.real * turn.real - x.imag * turn.imag
+    y.imag = x.real * turn.imag + x.imag * turn.real
+    return y
+
+
+def angle_past(y: np.ndarray, edge: float) -> np.ndarray:
+    """abs(cmath.phase(y)) > edge, elementwise on an array y.
+
+    numpy's arctan2 decides every element but those within 1e-12 of the
+    edge, where it may differ from cmath's in the last bit; cmath decides
+    those, so each verdict is the scalar one.
+    """
+    ang = np.abs(np.arctan2(y.imag, y.real))
+    past = ang > edge
+    near = np.flatnonzero(np.abs(ang - edge) <= 1e-12)
+    if near.size:
+        past[near] = [abs(cmath.phase(v)) > edge for v in y[near].tolist()]
+    return past
+
+
 class BranchedLog:
     """log with the branch cut rotated to point away from a given center.
 
@@ -54,9 +82,15 @@ class BranchedLog:
     silently drifts across the cut gets caught instead of producing a
     2*pi*i jump.  It refuses 0 as well, which lies on no branch.
 
-    The argument is a Python or numpy scalar.  It is turned by the cached
-    ``rotation(center)``, its angle and log are taken by ``cmath``, and the
-    value is a Python complex; the shift 1j * center is computed once.
+    The argument is a Python or numpy scalar, or a numpy array.  A scalar
+    is turned by the cached ``rotation(center)``, its angle and log are
+    taken by ``cmath``, and the value is a Python complex; the shift
+    1j * center is computed once.  An array is turned with the scalar
+    product's rounding (`turned`), each element's angle is decided as the
+    scalar's (`angle_past`), and the whole array is refused, with the
+    scalar's message, when one element is off the branch or, after that
+    test, when one is 0; its values come from numpy's complex log, within
+    2 ulp of the scalar ones.
     """
 
     __slots__ = ("center", "_turn", "_shift")
@@ -68,14 +102,26 @@ class BranchedLog:
         self._turn = rotation(self.center)
         self._shift = 1j * self.center
 
-    def __call__(self, xi) -> complex:
+    def __call__(self, xi):
+        if type(xi) is np.ndarray:
+            return self._array(xi)
         y = xi * self._turn
         if abs(cmath.phase(y)) > self._DOMAIN:
-            raise ChainDomainError(
-                f"argument left the log branch centered at {self.center:g}")
+            raise ChainDomainError(self._off())
         if y == 0:
             raise ChainDomainError("0 lies on no log branch")
         return cmath.log(y) + self._shift
+
+    def _array(self, xi: np.ndarray) -> np.ndarray:
+        y = turned(xi, self._turn)
+        if angle_past(y, self._DOMAIN).any():
+            raise ChainDomainError(self._off())
+        if (y == 0).any():
+            raise ChainDomainError("0 lies on no log branch")
+        return np.log(y) + self._shift
+
+    def _off(self) -> str:
+        return f"argument left the log branch centered at {self.center:g}"
 
     def __repr__(self):
         return f"BranchedLog(center={self.center})"
@@ -154,13 +200,21 @@ def invert_log_shift(target, alpha, log, guess):
     """Solve x + alpha log(x) = target by `newton` from guess.
 
     The derivative 1 + alpha/x is infinite at 0, where log is refused,
-    so a zero guess fails as a flat derivative before any residual.
+    so a zero guess fails as a flat derivative before any residual.  An
+    array guess is solved element by element, with targets of its shape;
+    one zero among its elements fails the whole array.
     """
-    if guess == 0:
+    if type(guess) is np.ndarray:
+        flat = (guess == 0).any()
+        tol = 1e-12 * np.maximum(1.0, np.abs(target))
+    else:
+        flat = guess == 0
+        tol = 1e-12 * max(1.0, abs(target))
+    if flat:
         raise NewtonDiverged("flat derivative", last_value=guess,
                              reason="flat")
     return newton(lambda x: x + alpha * log(x), lambda x: 1 + alpha / x,
-                  target, guess, 1e-12 * max(1.0, abs(target)))
+                  target, guess, tol)
 
 
 @dataclass(frozen=True)
@@ -180,27 +234,20 @@ class LogShear:
             v = v + self.beta * self.log_v(p.w)
         return Point2(p.z, v, p.chart)
 
-    def inverse(self, p: Point2, guess=None) -> Point2:
+    def inverse(self, p: Point2) -> Point2:
         """Solve forward(q) = p for q, whose fiber x solves
-        x + beta log_v(x) = p.w - alpha log_u(p.z) by `invert_log_shift`.
+        x + beta log_v(x) = p.w - alpha log_u(p.z) by `invert_log_shift`
+        from p.w.
 
-        The solve starts from guess, or from p.w when guess is None.  A
-        guess the solve accepts with no Newton step is discarded and the
-        solve rerun from p.w: an orbit limit that guesses each stage from
-        the last would otherwise read the unrefined guess back, a delta of
-        exactly 0, and stop early.  With beta = 0 there is nothing to solve
-        and guess is ignored.
+        With numpy arrays of one shape for p.z and p.w, every element is
+        solved at once: the logs and the solve take the arrays whole, and
+        any element's refusal or failure raises for the whole array.
         """
         target = p.w
         if self.alpha != 0:
             target = target - self.alpha * self.log_u(p.z)
         if self.beta == 0:
             return Point2(p.z, target, p.chart)
-        if guess is not None:
-            w = invert_log_shift(target, self.beta, self.log_v, guess)
-            # newton returns its guess object itself when it takes no step
-            if w is not guess:
-                return Point2(p.z, w, p.chart)
         w = invert_log_shift(target, self.beta, self.log_v, p.w)
         return Point2(p.z, w, p.chart)
 

@@ -2,10 +2,13 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from parafatou.engine import (
+    _STAGE_BLOCK,
     CONVERGED,
+    ESCAPED,
     MAX_ITER,
     ConvergenceConfig,
     FatouValue,
@@ -24,8 +27,8 @@ from parafatou.engine import (
     psi_b,
 )
 from parafatou.errors import ChainDomainError, ChartMismatch
-from parafatou.germs import INFINITY, ORIGIN, Point2, make_skew_germ
-from parafatou.normal_form import BranchedLog, Scaling
+from parafatou.germs import INFINITY, ORIGIN, Point2, SkewGerm2D, make_skew_germ
+from parafatou.normal_form import BranchedLog, LogShear, Scaling
 from parafatou.sampling import region_points
 from parafatou.verify import abel_residuals, parametrization_residuals
 
@@ -307,8 +310,8 @@ def test_sampled_incoming_starts_are_not_refused(pipe_mixed_coarse):
 
 
 def _cold_incoming(pipe, p, cfg):
-    """Tag i's limit with every shear solve started from the germ fiber, as
-    before the warm start: the oracle of the warm-start tests."""
+    """Tag i's limit with every stage walked and solved alone by the scalar
+    path, from the germ fiber: the oracle of the block-stage tests."""
     cfg = replace(cfg, radius=pipe.radius)
     G, shear = pipe.germ, pipe.shears["i"]
     cu, cv = _centers("i")
@@ -329,56 +332,135 @@ def _cold_incoming(pipe, p, cfg):
                       fv.verdict)
 
 
+def _assert_matches_cold(pipe, q, cfg):
+    """general_fatou tag i against the oracle: equal iterations and
+    verdict, values within 1e-12 relative."""
+    new = general_fatou(pipe, "i", q, cfg)
+    old = _cold_incoming(pipe, q, cfg)
+    assert (new.iterations, new.verdict) == (old.iterations,
+                                             old.verdict), q
+    for a, b in zip(new.value, old.value):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), q
+    return new, old
+
+
 @pytest.fixture(scope="module")
 def seed1_points(pipe_mixed_coarse):
     u, v = region_points(pipe_mixed_coarse.regions["i"], 6, 1)
     return [Point2(complex(a), complex(b), INFINITY) for a, b in zip(u, v)]
 
 
-def test_warm_start_matches_the_cold_start(pipe_mixed_coarse, seed1_points):
+@pytest.mark.parametrize("tol", [5e-7, 1e-8])
+def test_block_stages_match_the_cold_start(pipe_mixed_coarse, seed1_points,
+                                          tol):
+    # the limits run about 2.7k stages at tol 5e-7 and 22k at 1e-8
     pipe = pipe_mixed_coarse
+    cfg = ConvergenceConfig(tol=tol)
     for p in seed1_points:
         for q in (p, pipe.germ.evaluate(p)):
-            new = general_fatou(pipe, "i", q, COARSE)
-            old = _cold_incoming(pipe, q, COARSE)
-            assert (new.iterations, new.verdict) == (old.iterations,
-                                                     old.verdict), q
-            for a, b in zip(new.value, old.value):
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), q
+            new, _ = _assert_matches_cold(pipe, q, cfg)
+            assert new.verdict == CONVERGED
+            assert new.iterations > {5e-7: 2000, 1e-8: 20000}[tol]
 
 
-def test_warm_start_does_not_stop_early(pipe_mixed_coarse, seed1_points):
-    # from about stage 15k on, stage n - 1's fiber plus 1 already solves
-    # stage n's shear within the solve's tolerance; read back unrefined,
-    # it would make the delta exactly 0 and stop these limits elsewhere
+@pytest.mark.parametrize("n_max", sorted({1, 2, 255, 256, 257, 600,
+                                          _STAGE_BLOCK - 1, _STAGE_BLOCK,
+                                          _STAGE_BLOCK + 1}))
+def test_block_stages_at_n_max(pipe_mixed_coarse, seed1_points, n_max,
+                              monkeypatch):
+    # no block steps past n_max: the last one is cut short at it
     pipe = pipe_mixed_coarse
-    cfg = ConvergenceConfig(tol=1e-8)
-    for p in seed1_points[:2]:
-        new = general_fatou(pipe, "i", p, cfg)
-        old = _cold_incoming(pipe, p, cfg)
-        assert new.verdict == old.verdict == CONVERGED
-        assert new.iterations == old.iterations
-        assert new.last_delta != 0
+    cfg = ConvergenceConfig(tol=5e-7, n_max=n_max)
+    images = [pipe.germ.evaluate(p) for p in seed1_points]
+    evaluations = 0
+    evaluate = SkewGerm2D.evaluate
+
+    def counted(self, p):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(self, p)
+
+    monkeypatch.setattr(SkewGerm2D, "evaluate", counted)
+    for q in seed1_points + images:
+        evaluations = 0
+        new = general_fatou(pipe, "i", q, cfg)
+        assert evaluations == n_max, q
+        assert (new.verdict, new.iterations) == (MAX_ITER, n_max), q
+        _assert_matches_cold(pipe, q, cfg)
 
 
-def test_warm_start_work_count(pipe_mixed_coarse, seed1_points, monkeypatch):
-    # one log for the base, one per residual of the shear's Newton solve:
-    # 4.01 a step with the solve started at the germ fiber, about 3 warm
-    calls = 0
+def test_block_stages_escape_mid_block(pipe_mixed_coarse):
+    # on regions of radius 800 the fiber orbit of -370 + 390i runs right
+    # along Im v = 390 and enters |v| < 400 about 280 steps on, inside
+    # the second block: the limit ends escaped at that step
+    pipe = replace(pipe_mixed_coarse, radius=800.0)
+    p = Point2(1000.0 + 0j, -370.0 + 390j, INFINITY)
+    new, old = _assert_matches_cold(pipe, p, COARSE)
+    assert new.verdict == ESCAPED
+    assert _STAGE_BLOCK < new.iterations < 2 * _STAGE_BLOCK
+    assert new.iterations % _STAGE_BLOCK not in (0, 1)
+    assert abs(new.last_delta - old.last_delta) <= 1e-12
+
+
+def test_block_stages_fall_back_when_the_array_solve_fails(
+        pipe_mixed_coarse, seed1_points, monkeypatch):
+    # a BranchedLog that refuses every array makes every block's array
+    # solve raise, the one holding the stop too: each stage is then solved
+    # alone when the limit reaches it, as in the oracle, bit for bit
+    refused = 0
     plain = BranchedLog.__call__
 
-    def counted(self, x):
-        nonlocal calls
-        calls += 1
+    def scalars_only(self, x):
+        nonlocal refused
+        if type(x) is np.ndarray:
+            refused += 1
+            raise ChainDomainError("arrays refused")
         return plain(self, x)
 
-    monkeypatch.setattr(BranchedLog, "__call__", counted)
-    steps = 0
+    monkeypatch.setattr(BranchedLog, "__call__", scalars_only)
+    pipe = pipe_mixed_coarse
+    for p in seed1_points[:2]:
+        for q in (p, pipe.germ.evaluate(p)):
+            new = general_fatou(pipe, "i", q, COARSE)
+            assert new == _cold_incoming(pipe, q, COARSE)
+            assert new.verdict == CONVERGED
+    assert refused >= 4 * 10
+
+
+def test_block_stages_work_count(pipe_mixed_coarse, seed1_points,
+                                 monkeypatch):
+    # one scalar first stage and one array solve per block; the orbit runs
+    # at most _STAGE_BLOCK - 1 evaluations past the stop, and each array
+    # solve takes one base log and three Newton residuals, now and then four
+    counts = {}
+    evaluate, inverse = SkewGerm2D.evaluate, LogShear.inverse
+    log = BranchedLog.__call__
+
+    def counted_evaluate(self, p):
+        counts["evaluate"] += 1
+        return evaluate(self, p)
+
+    def counted_inverse(self, p):
+        counts["inverse"] += 1
+        return inverse(self, p)
+
+    def counted_log(self, x):
+        if type(x) is np.ndarray:
+            counts["array_logs"] += 1
+        return log(self, x)
+
+    monkeypatch.setattr(SkewGerm2D, "evaluate", counted_evaluate)
+    monkeypatch.setattr(LogShear, "inverse", counted_inverse)
+    monkeypatch.setattr(BranchedLog, "__call__", counted_log)
     for p in seed1_points:
+        counts.update(evaluate=0, inverse=0, array_logs=0)
         fv = general_fatou(pipe_mixed_coarse, "i", p, COARSE)
         assert fv.verdict == CONVERGED
-        steps += fv.iterations
-    assert calls / steps <= 3.05
+        n = fv.iterations
+        blocks = -(-n // _STAGE_BLOCK)
+        assert n <= counts["evaluate"] <= n + _STAGE_BLOCK - 1
+        assert counts["inverse"] == 1 + blocks
+        assert 4 * blocks <= counts["array_logs"] <= 5 * blocks, counts
 
 
 def test_incoming_start_past_the_fiber_log_branch(pipe_mixed_coarse):

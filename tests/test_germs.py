@@ -326,6 +326,35 @@ def test_outside_sector_verdicts(center):
         assert outside(x) is verdict, x
 
 
+@pytest.mark.parametrize("center", [0.0, np.pi, 2.0])
+def test_outside_sector_arrays_give_the_scalar_verdicts(center):
+    """The verdict cases above, and seeded points within 1e-12 of the
+    radius and angle edges, as one array: each element's scalar verdict."""
+    cfg = ConvergenceConfig(radius=10.0)
+    outside = _outside_sector(cfg, center)
+    edge = 0.75 * np.pi
+    rng = np.random.default_rng(11)
+    n = 1000
+    near = rng.uniform(-1e-12, 1e-12, n)
+    radii = np.concatenate([5.0 * (1 + near), rng.uniform(5.5, 1e3, 2 * n),
+                            1e15 * (1 + near)])
+    angles = np.concatenate([rng.uniform(-edge, edge, n),
+                             edge + near, -edge - near[::-1],
+                             rng.uniform(-edge, edge, n)])
+    x = radii * np.exp(1j * (center + angles))
+    fixed = [complex(math.nan, 0.0), complex(math.inf, 1.0),
+             complex(1.0, -math.inf), 0j, 5.0, -5.0, 50.0, -50.0]
+    x = np.concatenate([fixed, x, [p * complex(np.exp(1j * center))
+                                   for p in (4.99, 5.01, 0.99e15, 1.01e15)]])
+    got = outside(x)
+    assert got.dtype == bool and got.shape == x.shape
+    want = [outside(v) for v in x.tolist()]
+    assert got.tolist() == want
+    # both verdicts occur at each edge: radius, the two angles, the guard
+    for k in range(4):
+        assert 0 < sum(want[8 + k * n:8 + (k + 1) * n]) < n, k
+
+
 @pytest.mark.parametrize("reason, f, df, target, guess, tol", [
     # zero derivative at the guess; a pole of the derivative; nan
     ("flat", lambda x: x * x, lambda x: 2 * x, 1.0, 0.0, 1e-12),

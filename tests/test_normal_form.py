@@ -1,4 +1,5 @@
 import cmath
+import math
 from pathlib import Path
 
 import numpy as np
@@ -553,42 +554,35 @@ def test_log_shear_inverse_without_guess_starts_at_the_fiber(p):
     got = _SHEAR.inverse(p)
     want = invert_log_shift(_shear_target(_SHEAR, p), 1.0, _SHEAR.log_v, p.w)
     assert got.w == want and got.z == p.z
-    assert _SHEAR.inverse(p, None) == got
 
 
-@pytest.mark.parametrize("p", _SHEAR_POINTS)
-def test_log_shear_inverse_reruns_an_accepted_guess(p):
-    """A guess the solve accepts as it stands is replaced by the solve
-    from p.w, so an orbit limit never reads an unrefined guess back."""
-    cold = _SHEAR.inverse(p).w
-    tol = 1e-12 * max(1.0, abs(_shear_target(_SHEAR, p)))
-    guess = cold + 0.1 * tol
-    assert guess != cold
-    assert abs(guess + _SHEAR.log_v(guess) - _shear_target(_SHEAR, p)) <= tol
-    assert _SHEAR.inverse(p, guess).w == cold
+def _sector_sample(center, n, seed):
+    """Seeded points of the 3pi/4 sector around center, |x| from 5 to 3e4."""
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(np.log(5.0), np.log(3e4), n))
+    return r * np.exp(1j * (center + rng.uniform(-2.3, 2.3, n)))
 
 
-@pytest.mark.parametrize("p", _SHEAR_POINTS)
-def test_log_shear_inverse_from_a_near_guess_round_trips(p):
-    cold = _SHEAR.inverse(p).w
-    for guess in (cold + 1e-3, cold - 0.5j, cold * (1 + 1e-6)):
-        q = _SHEAR.inverse(p, guess)
-        assert q.z == p.z
-        back = _SHEAR.forward(q)
-        assert abs(back.w - p.w) <= 1e-12 * max(1.0, abs(p.w))
+def test_log_shear_inverse_on_arrays_matches_the_scalar_solves():
+    z = np.concatenate([[p.z for p in _SHEAR_POINTS], _sector_sample(0, 300, 5)])
+    w = np.concatenate([[p.w for p in _SHEAR_POINTS], _sector_sample(0, 300, 6)])
+    got = _SHEAR.inverse(Point2(z, w, INFINITY))
+    assert got.z is z and got.w.shape == w.shape
+    for a, b, x in zip(z.tolist(), w.tolist(), got.w.tolist()):
+        want = _SHEAR.inverse(Point2(a, b, INFINITY)).w
+        assert abs(x - want) <= 1e-12 * max(1.0, abs(b)), (a, b)
 
 
-def test_log_shear_inverse_refuses_a_zero_guess():
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_log_shear_inverse_on_arrays_fails_whole():
+    z = np.array([40.0 + 5j, 13.0 - 11.5j])
     with pytest.raises(NewtonDiverged) as exc:
-        _SHEAR.inverse(_SHEAR_POINTS[1], 0j)
+        _SHEAR.inverse(Point2(z, np.array([35.0 - 4j, 0j]), INFINITY))
     assert exc.value.reason == "flat"
-
-
-def test_log_shear_inverse_ignores_the_guess_without_beta():
-    shear = LogShear(-19 / 24, 0, BranchedLog(0.0), BranchedLog(0.0))
-    p = _SHEAR_POINTS[1]
-    for guess in (None, 0j, 7.0 + 1j):
-        assert shear.inverse(p, guess) == shear.inverse(p)
+    # the second base point is turned past the base log's branch
+    with pytest.raises(ChainDomainError, match="left the log branch"):
+        _SHEAR.inverse(Point2(np.array([40.0 + 5j, -40.0 - 1j]),
+                              np.array([35.0 - 4j, 35.0 - 4j]), INFINITY))
 
 
 def _outcome(log, x):
@@ -646,3 +640,49 @@ def test_branched_log_decides_by_cmath_angle(center):
         outcomes["accepted" if refused is None else "refused"] += 1
     # about half of the edge sample lies past an edge
     assert min(outcomes.values()) > 800, outcomes
+
+
+def _ulps(a: complex, b: complex, log: BranchedLog) -> float:
+    """|a - b| in ulps of the larger of |b| and the modulus of b before
+    the shift by 1j * center, which may cancel its imaginary part."""
+    return abs(a - b) / math.ulp(max(abs(b), abs(b - 1j * log.center)))
+
+
+@pytest.mark.parametrize("center", [0.0, np.pi, np.pi / 2, -0.75 * np.pi,
+                                    2.0])
+def test_branched_log_arrays_match_scalars(center):
+    """Each near-edge probe as a one-element array: the scalar's decision
+    and message, and a value within 2 ulp; the accepted ones as one array
+    give each element within 2 ulp of its scalar value."""
+    log = BranchedLog(center)
+    accepted, values = [], []
+    for x in _scalar_probes(center):
+        value, refused = _outcome(log, x)
+        arr_value, arr_refused = _outcome(log, np.array([x]))
+        assert arr_refused == refused, x
+        if refused is None:
+            assert arr_value.shape == (1,), x
+            assert _ulps(complex(arr_value[0]), value, log) <= 2, x
+            accepted.append(complex(x))
+            values.append(value)
+    whole = log(np.array(accepted))
+    for a, b in zip(whole.tolist(), values):
+        assert _ulps(a, b, log) <= 2, b
+    sample = _sector_sample(center, 2000, 8)
+    for a, x in zip(log(sample).tolist(), sample.tolist()):
+        assert _ulps(a, log(x), log) <= 2, x
+
+
+@pytest.mark.parametrize("center", [0.0, np.pi])
+def test_branched_log_refuses_arrays_with_one_bad_element(center):
+    log = BranchedLog(center)
+    good = _sector_sample(center, 8, 9)
+    off = 3.0 * complex(np.exp(1j * (center + np.pi)))
+    for bad in (off, 0j):
+        for at in (0, 4, 8):
+            x = np.insert(good, at, bad)
+            assert _outcome(log, np.array([bad]))[1] == _outcome(log, x)[1]
+    with pytest.raises(ChainDomainError, match="0 lies on no"):
+        log(np.append(good, 0j))
+    with pytest.raises(ChainDomainError, match="left the log branch"):
+        log(np.concatenate([[0j], good, [off]]))
